@@ -271,7 +271,9 @@ def cmd_ineq(args) -> int:
         checks = ("mapping",)
     else:
         checks = _checks_for(f, args.check)
-    dims = (args.dim,) if args.dim else (2, 3, 4, 5, 6, 7, 8)
+    if args.dim is not None and args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
+    dims = (args.dim,) if args.dim is not None else (2, 3, 4, 5, 6, 7, 8)
     report = ineq.run_trials(
         f,
         map_kind=args.map,

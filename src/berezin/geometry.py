@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import sys
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 __all__ = [
     "ShapeClass",
@@ -46,13 +46,34 @@ _COVERAGE_NOT_CONVEX = 0.90
 _GAP_FACTOR = 10.0
 
 
+def __getattr__(name):
+    # scipy.spatial costs about 0.4 s to import; only the coverage and
+    # Hausdorff queries need it, so it is imported on first use (PEP 562).
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _kdtree(points):
+    """A KD-tree over points; ``cKDTree`` is looked up on the module per call."""
+    return sys.modules[__name__].cKDTree(points)
+
+
 def _workers() -> int:
-    """Thread cap for KD-tree queries, from the BEREZIN_THREADS env var."""
+    """Thread count for KD-tree queries, from the BEREZIN_THREADS env var.
+
+    Must be an integer >= 1; values above ``os.cpu_count()`` are capped.
+    """
+    raw = os.environ.get("BEREZIN_THREADS", "1")
     try:
-        n = int(os.environ.get("BEREZIN_THREADS", "1"))
+        n = int(raw)
     except ValueError:
-        n = 1
-    return max(1, n)
+        raise ValueError(f"BEREZIN_THREADS must be an integer >= 1, got {raw!r}") from None
+    if n < 1:
+        raise ValueError(f"BEREZIN_THREADS must be an integer >= 1, got {raw!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _as_points(points) -> np.ndarray:
@@ -65,6 +86,54 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _deep_inside_octagon(pts: np.ndarray) -> np.ndarray:
+    """Mask of points far inside the octagon of extreme points (Akl–Toussaint).
+
+    The octagon's vertices are the points extreme in x, y, x+y and x-y, so it
+    lies inside the hull and no point inside it is a hull vertex.  The chain
+    treats crosses below the absolute ``_CROSS_EPS`` as collinear, so a point
+    counts as deep only at a distance from every octagon edge of at least 1%
+    of the extent, and more where the extent is so small that ``_CROSS_EPS``
+    matters.  A cross a dropped point would take part in can then come near
+    ``_CROSS_EPS`` only if two boundary points lie within 1e-7 of the extent
+    of each other, where the chain can already lose a true vertex by itself.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    s, d = x + y, x - y
+    # Extreme in the directions 180, 225, ..., 135 degrees: counterclockwise.
+    ext = [int(np.argmin(x)), int(np.argmin(s)), int(np.argmin(y)), int(np.argmax(d)),
+           int(np.argmax(x)), int(np.argmax(s)), int(np.argmax(y)), int(np.argmin(d))]
+    ext = [k for i, k in enumerate(ext) if k != ext[i - 1]]
+    if len(ext) < 3:
+        return np.zeros(len(pts), dtype=bool)
+    extent = max(float(np.ptp(x)), float(np.ptp(y)))
+    margin = max(1e-2 * extent, 1e-5 / extent)
+    deep = np.ones(len(pts), dtype=bool)
+    for i, j in zip(ext, ext[1:] + ext[:1]):
+        ex, ey = x[j] - x[i], y[j] - y[i]
+        cross = ex * (y - y[i]) - ey * (x - x[i])
+        deep &= cross > margin * np.hypot(ex, ey)
+    return deep
+
+
+def _chain_pops_all(pts: np.ndarray) -> bool:
+    """Whether every orientation test of the chain over sorted ``pts`` is <= _CROSS_EPS.
+
+    The chain then keeps only the first and the last point.  Every point lies
+    within H = c / L of the line through them (c the largest cross against
+    it, L their distance), so each test is at most 4 * D * H exactly, D the
+    diagonal of the bounding box; the 1e-15 terms bound the rounding of c
+    and of the test.
+    """
+    first, last = pts[0], pts[-1]
+    ux, uy = last - first
+    length = float(np.hypot(ux, uy))
+    diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    c = float(np.max(np.abs(ux * (pts[:, 1] - first[1]) - uy * (pts[:, 0] - first[0]))))
+    bound = 4.0 * diag * (c + 1e-15 * length * diag) / length + 1e-15 * diag * diag
+    return bound <= _CROSS_EPS
+
+
 def convex_hull(points) -> np.ndarray:
     """Convex hull vertices in counterclockwise order (monotone chain).
 
@@ -75,7 +144,11 @@ def convex_hull(points) -> np.ndarray:
     pts = np.unique(_as_points(points), axis=0)
     if len(pts) == 1:
         return pts
-    # np.unique sorts lexicographically, which is what the chain needs.
+    if _chain_pops_all(pts):
+        return pts[[0, -1]]
+    # np.unique sorts lexicographically, which is what the chain needs; the
+    # filter keeps that order.
+    pts = pts[~_deep_inside_octagon(pts)]
     x, y = pts[:, 0], pts[:, 1]
 
     def half_chain(order):
@@ -111,19 +184,36 @@ def polygon_area(vertices) -> float:
 
 def default_tolerance(points) -> float:
     """Default classification tolerance: 1e-3 of the sample diameter."""
-    diam, _ = _diameter(_as_points(points))
-    return max(1e-3 * diam, 1e-12)
+    diam, _ = _diameter(convex_hull(points))
+    return _tolerance(None, diam)
 
 
-def _diameter(pts: np.ndarray):
-    """Exact diameter and the realizing pair, via the hull."""
-    hull = convex_hull(pts)
+def _tolerance(tol, diam: float) -> float:
+    if tol is None:
+        return max(1e-3 * diam, 1e-12)
+    if tol <= 0:
+        raise ValueError("tolerance must be > 0")
+    return tol
+
+
+def _diameter(hull: np.ndarray):
+    """Exact diameter of a point set and the realizing pair, from its hull.
+
+    The pair is the first maximal one in row-major order of the distance
+    matrix, which is built in blocks of rows of about 2**18 entries each,
+    so memory stays bounded for hulls of thousands of vertices.
+    """
     if len(hull) == 1:
         return 0.0, (hull[0], hull[0])
-    diff = hull[:, None, :] - hull[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    return float(np.sqrt(d2[i, j])), (hull[i], hull[j])
+    rows = max(1, 2**18 // len(hull))
+    best, bi, bj = -1.0, 0, 0
+    for start in range(0, len(hull), rows):
+        diff = hull[start : start + rows, None, :] - hull[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        if d2[i, j] > best:
+            best, bi, bj = d2[i, j], start + i, j
+    return float(np.sqrt(best)), (hull[bi], hull[bj])
 
 
 def _segment_distances(pts: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -154,17 +244,19 @@ def classify_shape(points, tol: float | None = None) -> ShapeClass:
     (with hull vertices and hull area attached).
     """
     pts = _as_points(points)
-    if tol is None:
-        tol = default_tolerance(pts)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
-    diam, (p0, p1) = _diameter(pts)
+    hull = convex_hull(pts)
+    diameter = _diameter(hull)
+    return _classify(pts, hull, diameter, _tolerance(tol, diameter[0]))
+
+
+def _classify(pts, hull, diameter, tol: float) -> ShapeClass:
+    """classify_shape for a hull and diameter already computed."""
+    diam, (p0, p1) = diameter
     if diam <= tol:
         center = pts.mean(axis=0, keepdims=True)
         return ShapeClass("POINT", endpoints=center)
     if np.max(_segment_distances(pts, p0, p1)) <= tol:
         return ShapeClass("SEGMENT", endpoints=np.vstack([p0, p1]))
-    hull = convex_hull(pts)
     return ShapeClass("REGION2D", hull=hull, area=polygon_area(hull))
 
 
@@ -201,21 +293,61 @@ def _hull_interior_grid(hull: np.ndarray, steps: int) -> np.ndarray:
     ys = np.linspace(lo[1], hi[1], steps)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    # CCW hull: a point is inside iff it is on the left of every edge.
-    inside = np.ones(len(grid), dtype=bool)
+    return grid[_inside_hull(hull, grid)]
+
+
+def _inside_all_edges(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """CCW hull: a point is inside iff it is on the left of every edge."""
+    inside = np.ones(len(points), dtype=bool)
     nxt = np.roll(np.arange(len(hull)), -1)
     for i, j in zip(range(len(hull)), nxt):
         ex, ey = hull[j] - hull[i]
-        cross = ex * (grid[:, 1] - hull[i, 1]) - ey * (grid[:, 0] - hull[i, 0])
+        cross = ex * (points[:, 1] - hull[i, 1]) - ey * (points[:, 0] - hull[i, 0])
         inside &= cross >= -_CROSS_EPS
-    return grid[inside]
+    return inside
+
+
+def _inside_hull(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """The mask of :func:`_inside_all_edges`, testing two edges per point.
+
+    Each point meets the lower and the upper hull edge spanning its x, found
+    by binary search, in the same cross expression as the all-edges loop.  A
+    cross below -_CROSS_EPS is that loop's very float, so the point is out.
+    Rounding in one cross is below 1e-15 * D**2 (D the diagonal of the
+    bounding box); where that is at most _CROSS_EPS, two spanning crosses of
+    at least _CROSS_EPS put the point inside the exact polygon, so every edge
+    passes.  Only the thin band in between takes the all-edges loop, and so
+    do hulls with a vertical edge, whose chains are not monotone in x.
+    """
+    n = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    span = hull.max(axis=0) - hull.min(axis=0)
+    if np.any(edges[:, 0] == 0) or 1e-15 * float(span @ span) > _CROSS_EPS:
+        return _inside_all_edges(hull, points)
+    px, py = points[:, 0], points[:, 1]
+    # hull[0] is the leftmost vertex and hull[k] the rightmost: edges 0..k-1
+    # form the lower chain, edges k..n-1 the upper chain (right to left).
+    k = int(np.argmax(hull[:, 0]))
+    lower = np.clip(np.searchsorted(hull[: k + 1, 0], px, side="right") - 1, 0, k - 1)
+    upper_x = np.append(hull[0, 0], hull[: k - 1 : -1, 0])  # hull[0], hull[n-1], ..., hull[k]
+    upper = n - 1 - np.clip(np.searchsorted(upper_x, px, side="right") - 1, 0, n - k - 1)
+
+    def cross(e):
+        return edges[e, 0] * (py - hull[e, 1]) - edges[e, 1] * (px - hull[e, 0])
+
+    c_lo, c_up = cross(lower), cross(upper)
+    outside = (c_lo < -_CROSS_EPS) | (c_up < -_CROSS_EPS)
+    inside = (c_lo >= _CROSS_EPS) & (c_up >= _CROSS_EPS) & (px >= hull[0, 0]) & (px <= hull[k, 0])
+    band = ~(outside | inside)
+    inside[band] = _inside_all_edges(hull, points[band])
+    return inside
 
 
 def _segment_coverage(pts, p0, p1, tol, steps=512):
     """1-D analog of the region coverage test: probe points along the segment."""
     t = np.linspace(0.0, 1.0, steps)
     probes = p0 + t[:, None] * (p1 - p0)
-    dist, _ = cKDTree(pts).query(probes, workers=_workers())
+    dist, _ = _kdtree(pts).query(probes, workers=_workers())
     return float(np.mean(dist <= tol))
 
 
@@ -244,24 +376,22 @@ def convexity_report(
     """
     pts = _as_points(points)
     n_samples = len(pts)
-    if tol is None:
-        tol = default_tolerance(pts)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    # One hull per report: tolerance, shape and coverage grid all use it.
+    hull = convex_hull(pts)
+    diameter = _diameter(hull)
+    tol = _tolerance(tol, diameter[0])
 
     if exact_finite:
-        distinct = np.unique(pts, axis=0)
-        if len(distinct) == 1:
-            shape = ShapeClass("POINT", endpoints=distinct[:1])
+        if len(hull) == 1:
+            shape = ShapeClass("POINT", endpoints=hull)
             return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples, True)
-        shape = classify_shape(pts, tol)
+        shape = _classify(pts, hull, diameter, tol)
         if shape.tag == "POINT":
             # Distinct values closer than tol: still a finite non-convex set.
-            diam, (p0, p1) = _diameter(pts)
-            shape = ShapeClass("SEGMENT", endpoints=np.vstack([p0, p1]))
+            shape = ShapeClass("SEGMENT", endpoints=np.vstack(diameter[1]))
         return ConvexityReport(shape, "NOT_CONVEX", 0.0, 0.0, tol, n_samples, True)
 
-    shape = classify_shape(pts, tol)
+    shape = _classify(pts, hull, diameter, tol)
     if shape.tag == "POINT":
         return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples)
 
@@ -274,8 +404,8 @@ def convexity_report(
         coverage = _segment_coverage(pts, p0, p1, tol)
         return ConvexityReport(shape, verdict, coverage, max_gap, tol, n_samples)
 
-    grid = _hull_interior_grid(shape.hull, max(int(grid_steps), 200))
-    dist, _ = cKDTree(pts).query(grid, workers=_workers())
+    grid = _hull_interior_grid(hull, max(int(grid_steps), 200))
+    dist, _ = _kdtree(pts).query(grid, workers=_workers())
     coverage = float(np.mean(dist <= tol))
     max_gap = float(np.max(dist))
     if coverage >= _COVERAGE_CONVEX:
@@ -292,8 +422,8 @@ def hausdorff_distance(a, b) -> float:
     pa = _as_points(a)
     pb = _as_points(b)
     workers = _workers()
-    d_ab, _ = cKDTree(pb).query(pa, workers=workers)
-    d_ba, _ = cKDTree(pa).query(pb, workers=workers)
+    d_ab, _ = _kdtree(pb).query(pa, workers=workers)
+    d_ba, _ = _kdtree(pa).query(pb, workers=workers)
     return float(max(d_ab.max(), d_ba.max()))
 
 

@@ -38,13 +38,16 @@ def atomic_write_text(path, text: str) -> None:
 def write_csv(path, sample) -> None:
     """RangeSample -> CSV with header r,theta,re,im, rows in r-major order."""
     rows = ["r,theta,re,im"]
-    values = sample.values
-    for i, r in enumerate(sample.grid.r_values):
-        for j, theta in enumerate(sample.grid.theta_values):
-            v = values[i, j]
-            rows.append(
-                f"{float(r)!r},{float(theta)!r},{float(v.real)!r},{float(v.imag)!r}"
-            )
+    values = np.asarray(sample.values)
+    thetas = [repr(theta) + "," for theta in sample.grid.theta_values.tolist()]
+    for r, re_row, im_row in zip(
+        sample.grid.r_values.tolist(), values.real.tolist(), values.imag.tolist()
+    ):
+        prefix = repr(r) + ","
+        rows.extend(
+            prefix + theta + repr(re) + "," + repr(im)
+            for theta, re, im in zip(thetas, re_row, im_row)
+        )
     atomic_write_text(path, "\n".join(rows) + "\n")
 
 

@@ -10,6 +10,7 @@ Three families are supported, each validated at construction time:
 """
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -51,7 +52,7 @@ class SymbolSpec:
 def elliptic(alpha) -> SymbolSpec:
     """phi(z) = alpha*z with alpha in the closed unit disk."""
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 + 1e-15:
+    if not abs(alpha) <= 1.0 + 1e-15:  # also rejects NaN
         raise SymbolError(f"elliptic symbol requires |alpha| <= 1, got {abs(alpha)}")
     return SymbolSpec("elliptic", alpha=alpha)
 
@@ -59,8 +60,13 @@ def elliptic(alpha) -> SymbolSpec:
 def automorphism(a, b) -> SymbolSpec:
     """phi(z) = (a z + b)/(conj(b) z + conj(a)), |a|^2 - |b|^2 = 1."""
     a, b = complex(a), complex(b)
-    defect = abs(abs(a) ** 2 - abs(b) ** 2 - 1.0)
-    if defect > _AUTOMORPHISM_TOL:
+    for name, value in (("a", a), ("b", b)):
+        if not cmath.isfinite(value):
+            raise SymbolError(f"automorphism parameter {name} must be finite, got {value}")
+    # Products, not **, so that a huge |a| overflows to inf (NaN defect)
+    # instead of raising OverflowError.
+    defect = abs(abs(a) * abs(a) - abs(b) * abs(b) - 1.0)
+    if not defect <= _AUTOMORPHISM_TOL:
         raise SymbolError(
             "automorphism requires |a|^2 - |b|^2 = 1 "
             f"(defect {defect:.3e} exceeds {_AUTOMORPHISM_TOL})"
@@ -71,7 +77,7 @@ def automorphism(a, b) -> SymbolSpec:
 def blaschke(alpha) -> SymbolSpec:
     """phi_alpha(z) = (z - alpha)/(1 - conj(alpha) z) with |alpha| < 1."""
     alpha = complex(alpha)
-    if abs(alpha) >= 1.0:
+    if not abs(alpha) < 1.0:  # also rejects NaN
         raise SymbolError(f"Blaschke factor requires |alpha| < 1, got {abs(alpha)}")
     return SymbolSpec("blaschke", alpha=alpha)
 

@@ -18,12 +18,16 @@ _NO_PACKAGE = re.compile(r"No module named '?berezin'?$", re.MULTILINE)
 
 
 def run_cli(args, cwd):
+    return run_python(["-m", "berezin", *args], cwd)
+
+
+def run_python(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (PACKAGE_ROOT, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-m", "berezin", *args],
+        [sys.executable, *args],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -102,6 +106,23 @@ class TestRange:
         )
         assert proc.returncode == 2
         assert proc.stderr.strip()
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            (["--symbol", "elliptic", "--alpha", "nan"], "alpha"),
+            (["--symbol", "blaschke", "--alpha", "nan+0.1i"], "alpha"),
+            (["--symbol", "automorphism", "--a", "nan"], "parameter a"),
+            (["--symbol", "automorphism", "--a", "1.25", "--b", "nani"], "parameter b"),
+            (["--symbol", "automorphism", "--a", "inf", "--b", "inf"], "parameter a"),
+        ],
+    )
+    def test_non_finite_symbol_parameter_exits_2(self, tmp_path, params, name):
+        proc = run_cli(["range", "--space", "hardy", *params], tmp_path)
+        assert proc.returncode == 2
+        assert name in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert not list(tmp_path.iterdir())
 
     def test_missing_alpha_exits_2(self, tmp_path):
         proc = run_cli(
@@ -239,6 +260,13 @@ class TestIneq:
         proc = run_cli(["ineq", "--f", "neg-const", "--trials", "60"], tmp_path)
         assert proc.returncode == 0, proc.stderr
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dimension_below_one_exits_2(self, tmp_path, dim):
+        proc = run_cli(["ineq", "--dim", dim, "--trials", "5"], tmp_path)
+        assert proc.returncode == 2
+        assert "--dim" in proc.stderr
+        assert not proc.stdout
+
     def test_hypothesis_violation_exits_2(self, tmp_path):
         proc = run_cli(["ineq", "--f", "power:1.5", "--check", "eq4"], tmp_path)
         assert proc.returncode == 2
@@ -260,3 +288,11 @@ class TestIneq:
             assert proc.returncode == 0, proc.stderr
             outputs.append((tmp_path / name).read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
+    proc = run_python(
+        ["-c", "import sys, berezin.cli; print('scipy.spatial' in sys.modules)"], tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

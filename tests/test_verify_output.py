@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -65,6 +66,32 @@ def test_write_csv_deterministic(tmp_path):
     output.write_csv(a, sample)
     output.write_csv(b, sample)
     assert a.read_bytes() == b.read_bytes()
+
+
+def _reference_csv(sample) -> str:
+    """The per-cell writer write_csv replaced; its bytes are the contract."""
+    rows = ["r,theta,re,im"]
+    for i, r in enumerate(sample.grid.r_values):
+        for j, theta in enumerate(sample.grid.theta_values):
+            v = sample.values[i, j]
+            rows.append(f"{float(r)!r},{float(theta)!r},{float(v.real)!r},{float(v.imag)!r}")
+    return "\n".join(rows) + "\n"
+
+
+def test_write_csv_matches_per_cell_reference(tmp_path):
+    path = tmp_path / "out.csv"
+    grid = PolarGrid.regular(40, 16, 0.998)
+    samples = [sample_range(HARDY, elliptic(a), grid) for a in (0.5, 0.3 + 0.4j)]
+    # signed zeros, subnormals, huge values and exponents in the repr forms
+    odd = np.array([0.0, -0.0, 5e-324, -1e-310, 1e300, -2.5e-7, 1 / 3, 1e16])
+    samples.append(dataclasses.replace(
+        samples[0],
+        grid=PolarGrid(np.array([0.0, 0.5]), np.array([0.0, 1e-9, 2.0, 3.0])),
+        values=(odd + 1j * odd[::-1]).reshape(2, 4),
+    ))
+    for sample in samples:
+        output.write_csv(path, sample)
+        assert path.read_bytes() == _reference_csv(sample).encode("utf-8")
 
 
 def test_write_json_stamps_schema(tmp_path):
