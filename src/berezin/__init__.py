@@ -59,7 +59,6 @@ from .kernels import (
 )
 from .matrix_oracle import (
     OperatorMatrix,
-    berezin_from_matrix,
     berezin_grid,
     composition_matrix,
     l2_berezin_set,
@@ -100,8 +99,8 @@ __all__ = [
     "classify_shape", "convexity_report", "hausdorff_distance",
     "hull_signed_depth", "default_tolerance",
     # matrix oracle
-    "OperatorMatrix", "composition_matrix", "berezin_from_matrix",
-    "berezin_grid", "l2_berezin_set", "model_operator_matrix",
+    "OperatorMatrix", "composition_matrix", "berezin_grid",
+    "l2_berezin_set", "model_operator_matrix",
     "model_berezin_range", "numerical_range_boundary",
     # inequalities
     "ScalarFunction", "PositiveMap", "MappingReport", "PropositionReport",

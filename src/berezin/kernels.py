@@ -145,11 +145,16 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
     s = np.abs(ws) ** 2
     if np.any(s >= 1.0):
         raise ValueError("kernel coefficients require |w| < 1")
-    powers = np.conj(ws)[None, :] ** np.arange(N)[:, None]
+    # row k holds conj(w)^k: a running product down the columns
+    powers = np.empty((N, ws.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.conj(ws)
+    np.cumprod(powers, axis=0, out=powers)
     if space.kind == "hardy":
-        return np.sqrt(1.0 - s)[None, :] * powers
-    if space.kind == "bergman":
-        weights = np.sqrt(np.arange(1, N + 1, dtype=float))
-        return (1.0 - s)[None, :] * weights[:, None] * powers
-    norms = (1.0 - s ** space.n) / (1.0 - s)
-    return powers / np.sqrt(norms)[None, :]
+        powers *= np.sqrt(1.0 - s)
+    elif space.kind == "bergman":
+        powers *= np.sqrt(np.arange(1, N + 1, dtype=float))[:, None]
+        powers *= 1.0 - s
+    else:
+        powers /= np.sqrt((1.0 - s ** space.n) / (1.0 - s))
+    return powers

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import symbols as sym
 from .closed_form import PolarGrid, RangeSample
@@ -20,16 +21,16 @@ from .kernels import SpaceSpec, model_space, normalized_kernel_matrix
 __all__ = [
     "OperatorMatrix",
     "composition_matrix",
-    "berezin_from_matrix",
     "berezin_grid",
     "l2_berezin_set",
     "model_operator_matrix",
     "model_berezin_range",
     "numerical_range_boundary",
-    "DEFAULT_TRUNCATION",
 ]
 
-DEFAULT_TRUNCATION = 256
+# Bytes of one complex kernel block in berezin_grid; the grid is evaluated in
+# chunks of points so its working set stays two blocks whatever its size.
+_CHUNK_BYTES = 2**24
 
 _BASIS_FOR_SPACE = {
     "hardy": "hardy-monomial",
@@ -71,6 +72,11 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     coefficients reweighted by sqrt(k+1)/sqrt(j+1) so the basis stays
     orthonormal.  Elliptic symbols give the diagonal matrix diag(alpha^k)
     in both spaces (the weights cancel on the diagonal).
+
+    The columns are built by block doubling: once columns 0..k-1 exist,
+    columns k..2k-1 are phi^k * phi^j, i.e. the lower-triangular Toeplitz
+    matrix of phi^k's coefficients times columns 0..k-1, one GEMM per
+    doubling instead of one convolution per column.
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
@@ -80,10 +86,15 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     base = sym.symbol_series(symbol, N)
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
-    col = cols[:, 0].copy()
-    for k in range(1, N):
-        col = np.convolve(col, base)[:N]
-        cols[:, k] = col
+    k = 1
+    while k < N:
+        m = min(k, N - k)
+        power = np.convolve(cols[:, k - 1], base)[:N]
+        # toeplitz[i, j] = power[i - j] for i >= j, else 0
+        padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
+        toeplitz = sliding_window_view(padded[::-1], N)[::-1]
+        cols[:, k:k + m] = toeplitz @ cols[:, :m]
+        k += m
     if space.kind == "bergman":
         w = np.sqrt(np.arange(1, N + 1, dtype=float))
         cols = cols * (w[None, :] / w[:, None])
@@ -98,21 +109,26 @@ def _check_basis(op: OperatorMatrix, space: SpaceSpec) -> None:
         )
 
 
-def berezin_from_matrix(op: OperatorMatrix, space: SpaceSpec, w) -> complex:
-    """Berezin value v* M v with v = normalized_kernel_coeffs(space, w, N).
-
-    Converges to the closed form as N grows, with geometric truncation error
-    O(|w|^(2N)).
-    """
-    return complex(berezin_grid(op, space, np.array([getattr(w, "z", w)]))[0])
-
-
 def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
-    """Vectorized quadratic forms at many disk points (one value per w)."""
+    """Berezin values v* M v, v = normalized_kernel_coeffs(space, w, N), per w.
+
+    The result has the shape of ``ws``.  Values converge to the closed form
+    as N grows: the error is at most 2 ||C_phi|| times the kernel tail norm
+    |(1 - P_N) k̂_w|, which is |w|^N for Hardy.  Points are taken in chunks
+    of about ``_CHUNK_BYTES`` of kernel coefficients, so memory stays bounded
+    whatever the number of points.
+    """
     _check_basis(op, space)
     ws = np.asarray(ws, dtype=complex)
-    v = normalized_kernel_matrix(space, ws.ravel(), op.truncation)
-    vals = np.einsum("ip,ip->p", np.conj(v), op.entries @ v)
+    flat = ws.ravel()
+    N = op.truncation
+    step = max(1, _CHUNK_BYTES // (16 * N))
+    vals = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, step):
+        v = normalized_kernel_matrix(space, flat[start:start + step], N)
+        mv = op.entries @ v
+        np.einsum("ip,ip->p", np.conj(v, out=v), mv, out=vals[start:start + step])
+        del v, mv  # free this chunk's blocks before the next one is built
     return vals.reshape(ws.shape)
 
 

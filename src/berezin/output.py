@@ -19,12 +19,19 @@ __all__ = ["atomic_write_text", "write_csv", "write_json", "write_svg"]
 
 
 def atomic_write_text(path, text: str) -> None:
-    """Write text to path via a same-directory temp file and os.replace."""
+    """Write text to path via a same-directory temp file and os.replace.
+
+    The file gets mode 0o666 less the process umask, as a plain open() would.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            # mkstemp creates the file 0600
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

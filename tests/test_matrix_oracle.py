@@ -1,9 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezin import closed_form as cf
 from berezin import geometry, kernels, symbols
 from berezin import matrix_oracle as oracle
+
+
+def _chunk_points(N: int) -> int:
+    """Points per chunk of berezin_grid at truncation N."""
+    return max(1, oracle._CHUNK_BYTES // (16 * N))
 
 
 def test_composition_matrix_elliptic_is_diagonal_powers():
@@ -53,12 +62,18 @@ def test_oracle_agrees_with_closed_forms():
 
 
 def test_single_point_oracle_matches_grid():
+    # the grid spans more than one chunk, so this also pins that a value does
+    # not depend on which chunk its point falls in
     symb = symbols.blaschke(0.4)
     op = oracle.composition_matrix(kernels.HARDY, symb, 128)
     w = 0.3 + 0.2j
-    single = oracle.berezin_from_matrix(op, kernels.HARDY, w)
-    grid_val = oracle.berezin_grid(op, kernels.HARDY, np.array([w]))[0]
-    np.testing.assert_allclose(single, grid_val, rtol=1e-13)
+    ws = np.full(2 * _chunk_points(128) + 3, 0.1 + 0j)
+    ws[-2] = w
+    single = oracle.berezin_grid(op, kernels.HARDY, np.array([w]))
+    assert single.shape == (1,)
+    np.testing.assert_allclose(
+        single[0], oracle.berezin_grid(op, kernels.HARDY, ws)[-2], rtol=1e-13
+    )
 
 
 def test_l2_berezin_set_from_matrix_and_vector():
@@ -150,3 +165,175 @@ def test_composition_matrix_rejects_l2_and_model():
         oracle.composition_matrix(kernels.L2, symbols.elliptic(0.5), 8)
     with pytest.raises(ValueError):
         oracle.composition_matrix(kernels.model_space(3), symbols.elliptic(0.5), 8)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations.  composition_matrix fills its columns by block
+# doubling, normalized_kernel_matrix builds powers by a running product and
+# berezin_grid works through the points in chunks; each must agree with the
+# direct form below to rounding.
+
+def reference_composition_matrix(space, symbol, N):
+    """One convolution per column: column k is phi^(k-1) * phi."""
+    base = symbols.symbol_series(symbol, N)
+    cols = np.zeros((N, N), dtype=complex)
+    cols[0, 0] = 1.0
+    col = cols[:, 0].copy()
+    for k in range(1, N):
+        col = np.convolve(col, base)[:N]
+        cols[:, k] = col
+    if space.kind == "bergman":
+        w = np.sqrt(np.arange(1, N + 1, dtype=float))
+        cols = cols * (w[None, :] / w[:, None])
+    return cols
+
+
+def reference_kernel_matrix(space, ws, N):
+    """Powers of conj(w) by ``**``, scaled by the basis weights and norms."""
+    ws = np.asarray(ws, dtype=complex)
+    s = np.abs(ws) ** 2
+    powers = np.conj(ws)[None, :] ** np.arange(N)[:, None]
+    if space.kind == "hardy":
+        return np.sqrt(1.0 - s)[None, :] * powers
+    if space.kind == "bergman":
+        weights = np.sqrt(np.arange(1, N + 1, dtype=float))
+        return (1.0 - s)[None, :] * weights[:, None] * powers
+    norms = (1.0 - s ** space.n) / (1.0 - s)
+    return powers / np.sqrt(norms)[None, :]
+
+
+def reference_berezin_grid(op, space, ws):
+    """The whole N x P kernel matrix at once."""
+    ws = np.asarray(ws, dtype=complex)
+    v = reference_kernel_matrix(space, ws.ravel(), op.truncation)
+    vals = np.einsum("ip,ip->p", np.conj(v), op.entries @ v)
+    return vals.reshape(ws.shape)
+
+
+_REFERENCE_SYMBOLS = [
+    symbols.elliptic(0.25 + 0.25j),
+    symbols.automorphism(1.25, 0.75),
+    symbols.blaschke(0.5),
+    symbols.blaschke(0.3j),  # its powers' coefficients run through subnormals
+]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 129, 513])
+@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
+def test_composition_matrix_equals_sequential_convolution(symb, N):
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symb, N)
+        np.testing.assert_allclose(
+            op.entries, reference_composition_matrix(space, symb, N), rtol=0, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize(
+    "space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(1), kernels.model_space(7)],
+    ids=lambda s: s.label,
+)
+def test_kernel_matrix_equals_direct_powers(space):
+    rng = np.random.default_rng(11)
+    ws = np.concatenate([
+        [0.0, 0.5, -0.999j, 1e-200],
+        rng.uniform(0, 0.999, 200) * np.exp(2j * np.pi * rng.uniform(size=200)),
+    ])
+    for N in ([space.n] if space.kind == "model" else [1, 2, 64, 300]):
+        np.testing.assert_allclose(
+            kernels.normalized_kernel_matrix(space, ws, N),
+            reference_kernel_matrix(space, ws, N),
+            rtol=0, atol=1e-13,
+        )
+
+
+@pytest.mark.parametrize("count", ["empty", "one", "chunk", "chunk+1"])
+def test_berezin_grid_equals_whole_matrix(count):
+    N = 64
+    size = {"empty": 0, "one": 1, "chunk": _chunk_points(N), "chunk+1": _chunk_points(N) + 1}
+    rng = np.random.default_rng(5)
+    n = size[count]
+    ws = rng.uniform(0, 0.99, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symbols.blaschke(0.3 + 0.4j), N)
+        got = oracle.berezin_grid(op, space, ws)
+        assert got.shape == (n,)
+        np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
+
+
+def test_berezin_grid_keeps_mesh_shape_across_chunks():
+    grid = cf.PolarGrid.regular(60, 80, 0.99)
+    N = 512
+    assert grid.mesh().size > 2 * _chunk_points(N)
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), N)
+        got = oracle.berezin_grid(op, space, grid.mesh())
+        assert got.shape == grid.mesh().shape == (60, 80)
+        np.testing.assert_allclose(
+            got, reference_berezin_grid(op, space, grid.mesh()), rtol=0, atol=1e-13
+        )
+    model = oracle.model_operator_matrix(5)
+    got = oracle.berezin_grid(model, kernels.model_space(5), grid.mesh())
+    np.testing.assert_allclose(
+        got, reference_berezin_grid(model, kernels.model_space(5), grid.mesh()), rtol=0, atol=1e-13
+    )
+
+
+def test_berezin_grid_memory_is_bounded():
+    # The whole 256 x 51,200 kernel matrix, its conjugate and its product
+    # with the operator took about 600 MiB at once; a chunk keeps two 16 MiB
+    # blocks alive (its kernel columns and their product with the operator)
+    # whatever the number of points.
+    grid = cf.PolarGrid.regular(200, 256, 0.99)
+    ws = grid.mesh()
+    op = oracle.composition_matrix(kernels.BERGMAN, symbols.blaschke(0.5), 256)
+    tracemalloc.start()
+    try:
+        oracle.berezin_grid(op, kernels.BERGMAN, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
+def _tail_norm(space, ws, N):
+    """Norm of the kernel's part beyond the first N basis vectors, |(1 - P_N) k̂_w|."""
+    s = np.abs(ws) ** 2
+    tail = np.abs(ws) ** N
+    if space.kind == "bergman":
+        tail = tail * np.sqrt(N + 1 - N * s)
+    return tail
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+_turn = st.floats(0.0, 2 * np.pi, allow_nan=False)
+
+
+@st.composite
+def _symbol(draw):
+    kind = draw(st.sampled_from(["elliptic", "blaschke", "automorphism"]))
+    turn = np.exp(1j * draw(_turn))
+    if kind == "elliptic":
+        return symbols.elliptic(draw(_unit) * turn)
+    if kind == "blaschke":
+        return symbols.blaschke(0.95 * draw(_unit) * turn)
+    # |phi(0)| = |b/a| <= 0.9 keeps ||C_phi|| small enough that the tail bound
+    # times the operator norm stays below the tolerance
+    ratio = 0.9 * draw(_unit)
+    a = np.exp(1j * draw(_turn)) / np.sqrt(1.0 - ratio**2)
+    return symbols.automorphism(a, ratio * abs(a) * turn)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    symb=_symbol(),
+    N=st.sampled_from([64, 128]),
+    points=st.lists(st.tuples(_unit, _turn), min_size=1, max_size=20),
+)
+def test_oracle_agrees_with_closed_form_inside_tail_bound(symb, N, points):
+    ws = np.array([0.999 * r * np.exp(1j * t) for r, t in points])
+    for space, closed in ((kernels.HARDY, cf.hardy_transform), (kernels.BERGMAN, cf.bergman_transform)):
+        inside = ws[_tail_norm(space, ws, N) < 1e-10]
+        op = oracle.composition_matrix(space, symb, N)
+        np.testing.assert_allclose(
+            oracle.berezin_grid(op, space, inside), closed(symb, inside), rtol=0, atol=1e-8
+        )

@@ -129,6 +129,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
+@pytest.mark.parametrize(
+    "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+)
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    path = tmp_path / "x.txt"
+    old = os.umask(umask)
+    try:
+        output.atomic_write_text(path, "payload\n")
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == mode
+    assert path.read_bytes() == b"payload\n"
+
+
 def test_atomic_write_failure_cleans_up(tmp_path):
     target = tmp_path / "sub" / "x.txt"
     with pytest.raises(OSError):
