@@ -73,7 +73,6 @@ class RunConfig:
     theta_steps: int = 256
     r_max: float = 0.998
     tolerance: float | None = None
-    truncation: int = 256
     trials: int = 1000
     seed: int = 42
 
@@ -82,6 +81,8 @@ class RunConfig:
             raise ValueError("r_max must lie in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.r_steps < 2 or self.theta_steps < 1:
             raise ValueError("grid must have at least 2 radii and 1 angle")
 
@@ -257,7 +258,7 @@ def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
         return tuple(requested)
     return tuple(
         name
-        for name in ineq._TRIAL_CHECKS
+        for name in ineq.TRIAL_CHECKS
         if all(getattr(f, h) for h in _CHECK_REQUIRES[name])
     )
 
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument(
         "--check",
         action="append",
-        choices=ineq._TRIAL_CHECKS,
+        choices=ineq.TRIAL_CHECKS,
         help="restrict to specific checks (repeatable; default: all that "
         "the function's hypotheses support)",
     )

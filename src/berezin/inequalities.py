@@ -17,6 +17,7 @@ inequality, so nonnegative (up to roundoff) means the inequality holds.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 from typing import Callable, Sequence
 
@@ -33,7 +34,6 @@ __all__ = [
     "scalar_popoviciu_check",
     "functional_calculus",
     "abs_op",
-    "apply_map",
     "berezin_at",
     "popoviciu_operator_check",
     "intermediate_refinement_check",
@@ -46,6 +46,7 @@ __all__ = [
     "random_isometry",
     "run_trials",
     "parse_function",
+    "TRIAL_CHECKS",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -91,6 +92,8 @@ class ScalarFunction:
         convex for all p >= 1.
         """
         p = float(p)
+        if not np.isfinite(p):
+            raise ValueError(f"power exponent must be finite, got {p}")
         if p < 1.0:
             raise ValueError("power catalog requires p >= 1")
 
@@ -200,13 +203,46 @@ def scalar_popoviciu_check(f: ScalarFunction, x, y, z):
 # operators, functional calculus, positive maps
 # ---------------------------------------------------------------------------
 
+def _adjoint(M: np.ndarray) -> np.ndarray:
+    return M.conj().swapaxes(-1, -2)
+
+
+def _diagonal(M: np.ndarray) -> np.ndarray:
+    return np.diagonal(M, axis1=-2, axis2=-1)
+
+
+def _diagonal_part(M: np.ndarray) -> np.ndarray:
+    """M with its off-diagonal entries set to zero."""
+    out = np.zeros_like(M)
+    ix = np.arange(M.shape[-1])
+    out[..., ix, ix] = M[..., ix, ix]
+    return out
+
+
+def _times_eye(s, d: int) -> np.ndarray:
+    """s I for a scalar s, or the stack of s_i I for an array s."""
+    return np.multiply.outer(s, np.eye(d))
+
+
+def _stack_note(bad: np.ndarray) -> str:
+    """Where the first True of a per-matrix mask sits; empty for one operator."""
+    return "" if bad.ndim == 0 else f" (matrix {int(np.argmax(bad))} of the stack)"
+
+
+def _unstacked(x):
+    """A 0-d result as the Python scalar that one operator gives."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
+
+
 def _as_hermitian(A) -> np.ndarray:
     M = np.asarray(A, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("operator must be a square matrix")
-    if np.max(np.abs(M - M.conj().T)) > HERMITIAN_TOL:
-        raise ValueError("operator is not Hermitian within 1e-12")
-    return 0.5 * (M + M.conj().T)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError("operator must be a square matrix or a (k, d, d) stack of them")
+    defect = np.max(np.abs(M - _adjoint(M)), axis=(-2, -1))
+    bad = defect > HERMITIAN_TOL
+    if np.any(bad):
+        raise ValueError(f"operator is not Hermitian within 1e-12{_stack_note(bad)}")
+    return 0.5 * (M + _adjoint(M))
 
 
 def _eigh(A: np.ndarray):
@@ -219,39 +255,51 @@ def _eigh(A: np.ndarray):
 def functional_calculus(A, f: ScalarFunction | Callable) -> np.ndarray:
     """f(A) = U diag(f(lambda_i)) U* for PSD Hermitian A.
 
-    Eigenvalues below -1e-12 raise "operator not positive"; tiny negative
+    A may be one d x d matrix or a (k, d, d) stack; a stack gives each
+    matrix's f(A), bit for bit.  Eigenvalues below -1e-12 raise "operator
+    not positive" (naming the first such matrix of a stack); tiny negative
     roundoff is clamped to 0 so catalog functions stay on their [0, inf)
     domain.
     """
     M = _as_hermitian(A)
     w, v = _eigh(M)
-    if w[0] < PSD_EIG_TOL:
-        raise ValueError(f"operator not positive (min eigenvalue {w[0]:.3e})")
+    low = w[..., 0]
+    bad = low < PSD_EIG_TOL
+    if np.any(bad):
+        raise ValueError(
+            f"operator not positive{_stack_note(bad)} "
+            f"(min eigenvalue {low.flat[int(np.argmax(bad))]:.3e})"
+        )
     w = np.clip(w, 0.0, None)
-    fw = f(w)
-    out = (v * np.asarray(fw, dtype=float)) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    fw = np.asarray(f(w), dtype=float)
+    out = (v * fw[..., None, :]) @ _adjoint(v)
+    return 0.5 * (out + _adjoint(out))
 
 
 def abs_op(A) -> np.ndarray:
     """Operator absolute value |A| via eigenvalue absolute values.
 
-    Defined for any Hermitian A (no positivity requirement): this is what
-    restores positivity in expressions like |X - sI|.
+    Defined for any Hermitian A, one matrix or a (k, d, d) stack (no
+    positivity requirement): this is what restores positivity in
+    expressions like |X - sI|.
     """
     M = _as_hermitian(A)
     w, v = _eigh(M)
-    out = (v * np.abs(w)) @ v.conj().T
-    return 0.5 * (out + out.conj().T)
+    out = (v * np.abs(w)[..., None, :]) @ _adjoint(v)
+    return 0.5 * (out + _adjoint(out))
 
 
 @dataclasses.dataclass(frozen=True)
 class PositiveMap:
-    """A unital positive linear map: identity, pinching, or compression."""
+    """A unital positive linear map: identity, pinching, or compression.
+
+    ``apply`` takes one matrix or a (k, d, d) stack.  A compression may carry
+    one isometry per matrix of a stack: V is then (k, d, m).
+    """
 
     kind: str
     partition: tuple[tuple[int, ...], ...] | None = None
-    V: np.ndarray | None = None  # (d, m) isometry columns, m <= d
+    V: np.ndarray | None = None  # (d, m) or (k, d, m) isometry columns, m <= d
 
     @classmethod
     def identity(cls) -> "PositiveMap":
@@ -270,11 +318,11 @@ class PositiveMap:
 
     @classmethod
     def compression(cls, V) -> "PositiveMap":
-        """A |-> V* A V for an isometry V (columns orthonormal)."""
+        """A |-> V* A V for an isometry V (columns orthonormal), or a stack."""
         V = np.asarray(V, dtype=complex)
-        if V.ndim != 2 or V.shape[1] > V.shape[0]:
-            raise ValueError("V must be d x m with m <= d")
-        gram_defect = np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1])))
+        if V.ndim not in (2, 3) or V.shape[-1] > V.shape[-2]:
+            raise ValueError("V must be d x m with m <= d, or a (k, d, m) stack")
+        gram_defect = np.max(np.abs(_adjoint(V) @ V - np.eye(V.shape[-1])))
         if gram_defect > UNITAL_TOL:
             raise ValueError(
                 f"compression requires V*V = I (defect {gram_defect:.3e})"
@@ -286,51 +334,55 @@ class PositiveMap:
         return self.kind
 
     def output_dim(self, d: int) -> int:
-        return self.V.shape[1] if self.kind == "compression" else d
+        return self.V.shape[-1] if self.kind == "compression" else d
 
     def apply(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=complex)
-        d = A.shape[0]
+        d = A.shape[-1]
         if self.kind == "identity":
             return A.copy()
         if self.kind == "pinching":
             if self.partition is None:
-                return np.diag(np.diag(A))
+                return _diagonal_part(A)
             out = np.zeros_like(A)
             covered = []
             for block in self.partition:
                 ix = np.asarray(block)
                 if np.any(ix >= d):
                     raise ValueError("dimension mismatch: partition index out of range")
-                out[np.ix_(ix, ix)] = A[np.ix_(ix, ix)]
+                rows, cols = np.ix_(ix, ix)
+                out[..., rows, cols] = A[..., rows, cols]
                 covered.extend(block)
             if sorted(covered) != list(range(d)):
                 raise ValueError("dimension mismatch: partition must cover all indices")
             return out
-        if self.V.shape[0] != d:
+        if self.V.shape[-2] != d:
             raise ValueError(
-                f"dimension mismatch: map expects dimension {self.V.shape[0]}, got {d}"
+                f"dimension mismatch: map expects dimension {self.V.shape[-2]}, got {d}"
             )
-        return self.V.conj().T @ A @ self.V
+        return _adjoint(self.V) @ A @ self.V
 
     def unitality_defect(self, d: int) -> float:
         eye = np.eye(d, dtype=complex)
         return float(np.max(np.abs(self.apply(eye) - np.eye(self.output_dim(d)))))
 
 
-def apply_map(phi: PositiveMap, A) -> np.ndarray:
-    """Apply a positive map to a Hermitian operator (dimension-checked)."""
-    return phi.apply(_as_hermitian(A))
+def berezin_at(A, mu):
+    """Berezin transform at the standard-basis kernel e_mu: the (mu, mu) entry.
 
-
-def berezin_at(A, mu: int) -> float:
-    """Berezin transform at the standard-basis kernel e_mu: the (mu, mu) entry."""
-    A = np.asarray(A)
-    d = A.shape[0]
-    mu = int(mu)
-    if not (0 <= mu < d):
-        raise IndexError(f"berezin index {mu} out of range for dimension {d}")
-    return float(A[mu, mu].real)
+    For a (k, d, d) stack, mu is one index or one per matrix, and the result
+    is the array of the k transforms.
+    """
+    diag = _diagonal(np.asarray(A))
+    d = diag.shape[-1]
+    mu = np.broadcast_to(np.asarray(mu).astype(int), diag.shape[:-1])
+    bad = (mu < 0) | (mu >= d)
+    if np.any(bad):
+        raise IndexError(
+            f"berezin index {mu.flat[int(np.argmax(bad))]} out of range for "
+            f"dimension {d}{_stack_note(bad)}"
+        )
+    return _unstacked(np.take_along_axis(diag, mu[..., None], axis=-1)[..., 0].real)
 
 
 def berezin_number(op) -> float:
@@ -344,6 +396,10 @@ def berezin_number(op) -> float:
 # ---------------------------------------------------------------------------
 # operator inequalities
 # ---------------------------------------------------------------------------
+#
+# Each check takes one operator (a float slack) or (k, d, d) stacks with one
+# index mu per matrix (an array of k slacks).  Both run the same code, so a
+# stack's slacks equal the per-matrix slacks bit for bit.
 
 def _require_unital(phi: PositiveMap, d: int) -> None:
     defect = phi.unitality_defect(d)
@@ -351,20 +407,17 @@ def _require_unital(phi: PositiveMap, d: int) -> None:
         raise ValueError(f"non-unital map rejected (defect {defect:.3e})")
 
 
-def _berezin_of_map(phi: PositiveMap, X, mu: int) -> float:
+def _berezin_of_map(phi: PositiveMap, X, mu):
     return berezin_at(phi.apply(X), mu)
 
 
-def _f_abs_term(f, phi, X, s: float, mu: int) -> float:
+def _f_abs_term(f, phi, X, s, mu):
     """(Phi(f(|X - s I|)))~(mu) -- the recurring correction term."""
-    d = X.shape[0]
-    shifted = X - s * np.eye(d)
+    shifted = X - _times_eye(s, X.shape[-1])
     return berezin_at(phi.apply(functional_calculus(abs_op(shifted), f)), mu)
 
 
-def popoviciu_operator_check(
-    f: ScalarFunction, phi: PositiveMap, A, B, C, mu: int
-) -> float:
+def popoviciu_operator_check(f: ScalarFunction, phi: PositiveMap, A, B, C, mu):
     """Slack (LHS - RHS) of the three-operator Popoviciu refinement, exactly
     as displayed: the 2/3 bracket of pair terms and the 1/3 bracket of six
     correction terms (three operator f-terms at the paired Berezin scalars,
@@ -375,7 +428,7 @@ def popoviciu_operator_check(
         raise ValueError("dimension mismatch among the three operators")
     if not f.superquadratic:
         raise ValueError(f"{f.name} is not superquadratic; hypothesis violated")
-    _require_unital(phi, A.shape[0])
+    _require_unital(phi, A.shape[-1])
 
     fA, fB, fC = (functional_calculus(X, f) for X in (A, B, C))
     lhs = berezin_at(phi.apply((fA + fB + fC) / 3.0), mu) + f(
@@ -395,55 +448,53 @@ def popoviciu_operator_check(
         + _f_abs_term(f, phi, B, s_ac, mu)
         + f(abs(_berezin_of_map(phi, (2.0 * B - A - C) / 6.0, mu)))
     )
-    return lhs - pair - corr
+    return _unstacked(lhs - pair - corr)
 
 
-def intermediate_refinement_check(
-    f: ScalarFunction, phi: PositiveMap, T, x: float, mu: int
-) -> float:
+def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu):
     """Slack of the intermediate pointwise-to-operator bound
 
         (Phi(f(T)))~(mu) >= f(x) + C_x (Phi(T - xI))~(mu)
                             + (Phi(f(|T - xI|)))~(mu)
 
-    for PSD T and scalar x >= 0.  This is the single-point engine behind the
-    refinement corollaries; it is a true inequality for every superquadratic
-    catalog function.
+    for PSD T and scalar x >= 0 (one x per matrix of a stack).  This is the
+    single-point engine behind the refinement corollaries; it is a true
+    inequality for every superquadratic catalog function.
     """
     T = _as_hermitian(T)
     if f.c_x is None:
         raise ValueError(f"{f.name} has no constant chooser C_x")
-    _require_unital(phi, T.shape[0])
-    d = T.shape[0]
-    x = float(x)
+    _require_unital(phi, T.shape[-1])
+    x = np.asarray(x, dtype=float)
     lhs = berezin_at(phi.apply(functional_calculus(T, f)), mu)
-    linear = float(f.c_x(x)) * _berezin_of_map(phi, T - x * np.eye(d), mu)
-    return lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu)
+    linear = f.c_x(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
+    return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
 
-def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu: int) -> float:
+def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
     """Slack of the single-operator refinement
 
         -f(0) >= f((Phi(A))~(mu)) - (Phi(f(A)))~(mu)
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
     A = _as_hermitian(A)
-    _require_unital(phi, A.shape[0])
+    _require_unital(phi, A.shape[-1])
     a = _berezin_of_map(phi, A, mu)
     rhs = (
         f(a)
         - berezin_at(phi.apply(functional_calculus(A, f)), mu)
         + _f_abs_term(f, phi, A, a, mu)
     )
-    return -f(0.0) - rhs
+    return _unstacked(-f(0.0) - rhs)
 
 
-def corollary_c1_sup(f: ScalarFunction, phi: PositiveMap, A) -> float:
+def corollary_c1_sup(f: ScalarFunction, phi: PositiveMap, A):
     """Supremum form: -f(0) - max_mu RHS(mu), over every kernel index."""
     A = _as_hermitian(A)
-    _require_unital(phi, A.shape[0])
-    d_out = phi.output_dim(A.shape[0])
-    return min(corollary_c1_check(f, phi, A, mu) for mu in range(d_out))
+    _require_unital(phi, A.shape[-1])
+    d_out = phi.output_dim(A.shape[-1])
+    slacks = [corollary_c1_check(f, phi, A, mu) for mu in range(d_out)]
+    return _unstacked(np.min(slacks, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -452,19 +503,25 @@ def corollary_c1_sup(f: ScalarFunction, phi: PositiveMap, A) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class MappingReport:
-    """Outcome of the Berezin set mapping check f(Ber(Phi(A))) = Ber(Phi(f(A)))."""
+    """Outcome of the Berezin set mapping check f(Ber(Phi(A))) = Ber(Phi(f(A))).
 
-    condition18_failing: tuple[int, ...]
-    condition18_pass_rate: float
-    identity_checked: bool
-    identity_max_dev: float
-    sets_equal: bool
+    For a (k, d, d) stack every field has a leading axis of length k, and
+    ``condition18_failing`` holds one tuple of indices per matrix.
+    """
+
+    condition18_failing: tuple
+    condition18_pass_rate: float | np.ndarray
+    identity_checked: bool | np.ndarray
+    identity_max_dev: float | np.ndarray
+    sets_equal: bool | np.ndarray
     lhs_values: np.ndarray  # f applied to diag of Phi(A)
     rhs_values: np.ndarray  # diag of Phi(f(A))
 
     @property
-    def identity_holds(self) -> bool:
-        return self.identity_checked and self.identity_max_dev <= CONDITION18_TOL
+    def identity_holds(self):
+        return _unstacked(
+            np.logical_and(self.identity_checked, self.identity_max_dev <= CONDITION18_TOL)
+        )
 
 
 def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingReport:
@@ -475,41 +532,51 @@ def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingRepo
     indices are reported instead.
     """
     A = _as_hermitian(A)
-    _require_unital(phi, A.shape[0])
+    _require_unital(phi, A.shape[-1])
     phi_A = phi.apply(A)
     phi_fA = phi.apply(functional_calculus(A, f))
-    lhs = np.asarray(f(np.real(np.diag(phi_A))), dtype=float)
-    rhs = np.real(np.diag(phi_fA))
-    failing = tuple(int(i) for i in np.nonzero(lhs < rhs - CONDITION18_TOL)[0])
-    pass_rate = 1.0 - len(failing) / len(lhs)
-    if failing:
-        return MappingReport(failing, pass_rate, False, np.inf, False, lhs, rhs)
-    max_dev = float(np.max(np.abs(lhs - rhs)))
-    sets_equal = (
-        float(np.max(np.abs(np.sort(lhs) - np.sort(rhs)))) <= CONDITION18_TOL
+    lhs = np.asarray(f(np.real(_diagonal(phi_A))), dtype=float)
+    rhs = np.real(_diagonal(phi_fA))
+    failing = lhs < rhs - CONDITION18_TOL
+    fails = np.any(failing, axis=-1)
+    pass_rate = 1.0 - np.count_nonzero(failing, axis=-1) / lhs.shape[-1]
+    max_dev = np.where(fails, np.inf, np.max(np.abs(lhs - rhs), axis=-1))
+    sort_dev = np.max(np.abs(np.sort(lhs, axis=-1) - np.sort(rhs, axis=-1)), axis=-1)
+    indices = tuple(
+        tuple(int(i) for i in np.flatnonzero(row))
+        for row in failing.reshape(-1, failing.shape[-1])
     )
-    return MappingReport((), 1.0, True, max_dev, sets_equal, lhs, rhs)
+    return MappingReport(
+        indices[0] if failing.ndim == 1 else indices,
+        _unstacked(pass_rate),
+        _unstacked(~fails),
+        _unstacked(max_dev),
+        _unstacked(~fails & (sort_dev <= CONDITION18_TOL)),
+        lhs,
+        rhs,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
 class PropositionReport:
     """Slacks for the Berezin-number propositions (None where the catalog
-    function does not satisfy the hypotheses, with the reason recorded)."""
+    function does not satisfy the hypotheses, with the reason recorded).
+    For a (k, d, d) stack each slack is an array of k slacks."""
 
-    p1_slack: float | None
-    p2_slack: float | None
-    p3_slack: float | None
+    p1_slack: float | np.ndarray | None
+    p2_slack: float | np.ndarray | None
+    p3_slack: float | np.ndarray | None
     rejected: dict
 
-    def min_slack(self) -> float:
+    def min_slack(self):
         slacks = [s for s in (self.p1_slack, self.p2_slack, self.p3_slack) if s is not None]
         if not slacks:
             raise ValueError(f"no proposition applies: {self.rejected}")
-        return min(slacks)
+        return _unstacked(np.min(slacks, axis=0))
 
 
 def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionReport:
-    """Slacks of the ber-vs-sup propositions for one operator.
+    """Slacks of the ber-vs-sup propositions for one operator or a stack.
 
     P1: ber(Phi(f(A))) >= sup_mu f((Phi(A))~(mu)) for nonnegative
     superquadratic f; P2 (the derivative form): same with f replaced by f'
@@ -517,31 +584,31 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
     f(0) = 0 (convex branch).
     """
     A = _as_hermitian(A)
-    _require_unital(phi, A.shape[0])
+    _require_unital(phi, A.shape[-1])
     phi_A = phi.apply(A)
-    diag = np.real(np.diag(phi_A))
+    diag = np.real(_diagonal(phi_A))
     rejected: dict = {}
 
-    def ber_of(mat) -> float:
-        return float(np.max(np.abs(np.diag(mat))))
+    def slack(g):
+        ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
+        return _unstacked(ber - np.max(g(diag), axis=-1))
 
     p1 = None
     if f.superquadratic and f.nonnegative:
-        p1 = ber_of(phi.apply(functional_calculus(A, f))) - float(np.max(f(diag)))
+        p1 = slack(f)
     else:
         rejected["p1"] = f"{f.name} is not nonnegative superquadratic"
 
     p2 = None
     if f.differentiable and f.derivative is not None and f.superquadratic and f.nonnegative:
         # For such f, f(0) = f'(0) = 0 and f' is convex on [0, inf).
-        g = f.derivative
-        p2 = ber_of(phi.apply(functional_calculus(A, g))) - float(np.max(g(diag)))
+        p2 = slack(f.derivative)
     else:
         rejected["p2"] = f"{f.name} lacks a convex derivative with f(0)=f'(0)=0"
 
     p3 = None
     if f.convex and abs(f(0.0)) <= 1e-15:
-        p3 = ber_of(phi.apply(functional_calculus(A, f))) - float(np.max(f(diag)))
+        p3 = slack(f)
     else:
         rejected["p3"] = f"{f.name} is not convex with f(0)=0"
 
@@ -552,38 +619,92 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
 # randomized harness
 # ---------------------------------------------------------------------------
 
-def random_psd(rng: np.random.Generator, dim: int, scale_max: float = 10.0) -> np.ndarray:
+def _gaussians(rng, d: int) -> np.ndarray:
+    """A complex Gaussian d x d draw from a Generator, or draws already made.
+
+    Draws already made are a (d, d) matrix or a (k, d, d) stack of them.
+    """
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    G = np.asarray(rng, dtype=complex)
+    if G.ndim not in (2, 3) or G.shape[-2:] != (d, d):
+        raise ValueError(f"expected ({d}, {d}) Gaussian draws, got shape {G.shape}")
+    return G
+
+
+def random_psd(rng, dim: int, scale_max: float = 10.0) -> np.ndarray:
     """Seeded random PSD matrix with spectrum scaled into [0, scale_max].
 
     G G* + 1e-6 I for a complex Gaussian G keeps the matrix comfortably
     positive; the rescaling pins the top eigenvalue at scale_max so every
-    trial exercises the full catalog domain.
+    trial exercises the full catalog domain.  ``rng`` is a Generator, or
+    the Gaussians G themselves: a (k, dim, dim) stack of them gives the
+    (k, dim, dim) stack of matrices, each bit for bit as if drawn alone.
     """
-    G = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    A = G @ G.conj().T + 1e-6 * np.eye(dim)
-    top = float(np.linalg.eigvalsh(A)[-1])
-    return A * (scale_max / top)
+    G = _gaussians(rng, dim)
+    A = G @ _adjoint(G) + 1e-6 * np.eye(dim)
+    top = np.linalg.eigvalsh(A)[..., -1]
+    return A * (scale_max / top)[..., None, None]
 
 
-def random_isometry(rng: np.random.Generator, d: int, m: int) -> np.ndarray:
-    """First m columns of the Q factor of a random complex Gaussian."""
-    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    q, _ = np.linalg.qr(G)
-    return q[:, :m]
+def random_isometry(rng, d: int, m: int) -> np.ndarray:
+    """First m columns of the Q factor of a random complex Gaussian.
+
+    ``rng`` is a Generator or the Gaussians themselves, as for random_psd.
+    """
+    q, _ = np.linalg.qr(_gaussians(rng, d))
+    return q[..., :m]
 
 
-def _map_for_trial(map_kind: str, rng: np.random.Generator, d: int) -> PositiveMap:
+_MAP_KINDS = ("identity", "pinching", "compression")
+
+TRIAL_CHECKS = ("eq1", "eq2", "eq4", "eq5", "eq16", "eq21", "mapping")
+
+# Trials of one dimension are evaluated in stacks of (k, d, d) complex
+# matrices of at most this many bytes (32 trials at d = 8).  A check keeps a
+# few dozen such stacks alive, so this bounds the harness's memory whatever
+# the trial count; larger stacks saved little time and added megabytes.
+_STACK_BYTES = 2**15
+
+
+def _map_dim(map_kind: str, d: int) -> int:
+    return max(1, d // 2) if map_kind == "compression" else d
+
+
+def _draw_stack(rngs, map_kind: str, checks, d: int) -> dict:
+    """The stacked inputs of trials of dimension d, each drawn from its own
+    stream after the dimension, always in this order: the compression's
+    Gaussian, the kernel index, A's Gaussian, then the inputs of eq1, eq2,
+    eq4 (B's and C's Gaussians) and eq5."""
+    draws = collections.defaultdict(list)
+    for rng in rngs:
+        if map_kind == "compression":
+            draws["isometry"].append(_gaussians(rng, d))
+        draws["mu"].append(int(rng.integers(_map_dim(map_kind, d))))
+        draws["A"].append(_gaussians(rng, d))
+        if "eq1" in checks:
+            draws["eq1"].append(rng.uniform(0.0, 10.0, size=2))
+        if "eq2" in checks:
+            draws["eq2"].append(rng.uniform(0.0, 10.0, size=3))
+        if "eq4" in checks:
+            draws["B"].append(_gaussians(rng, d))
+            draws["C"].append(_gaussians(rng, d))
+        if "eq5" in checks:
+            draws["eq5"].append(rng.uniform(0.0, 10.0))
+    return {key: np.array(values) for key, values in draws.items()}
+
+
+def _map_for_stack(map_kind: str, isometry_draws, d: int) -> PositiveMap:
     if map_kind == "identity":
         return PositiveMap.identity()
     if map_kind == "pinching":
         return PositiveMap.pinching()
-    if map_kind == "compression":
-        m = max(1, d // 2)
-        return PositiveMap.compression(random_isometry(rng, d, m))
-    raise ValueError(f"unknown map kind: {map_kind!r}")
+    return PositiveMap.compression(random_isometry(isometry_draws, d, _map_dim(map_kind, d)))
 
 
-_TRIAL_CHECKS = ("eq1", "eq2", "eq4", "eq5", "eq16", "eq21", "mapping")
+def _psd_stack(draws: np.ndarray, diag_only: bool) -> np.ndarray:
+    A = random_psd(draws, draws.shape[-1])
+    return _diagonal_part(A) if diag_only else A
 
 
 @dataclasses.dataclass(frozen=True)
@@ -642,6 +763,12 @@ def run_trials(
     so results are reproducible and independent of any execution order.  The
     report records the minimum slack per check and which trial attained it.
 
+    Each stream first draws its trial's dimension.  Trials of equal
+    dimension then draw the rest of their inputs (see ``_draw_stack``) and
+    are evaluated together, each check once per stack of at most
+    ``_STACK_BYTES``, which gives every trial the slack it would get alone,
+    bit for bit.
+
     The "mapping" check is special: condition (18) is a runtime-checked
     hypothesis, not an inequality, so trials where it fails contribute only
     to the pass rate; trials where it holds record the (negated) identity
@@ -650,65 +777,72 @@ def run_trials(
     """
     checks = tuple(checks)
     for c in checks:
-        if c not in _TRIAL_CHECKS:
-            raise ValueError(f"unknown check {c!r}; choose from {_TRIAL_CHECKS}")
+        if c not in TRIAL_CHECKS:
+            raise ValueError(f"unknown check {c!r}; choose from {TRIAL_CHECKS}")
+    if map_kind not in _MAP_KINDS:
+        raise ValueError(f"unknown map kind: {map_kind!r}")
     dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dims must be one or more dimensions >= 1, got {dims}")
+    trials = int(trials)
     root = np.random.SeedSequence(seed)
-    streams = [np.random.default_rng(s) for s in root.spawn(int(trials))]
 
-    mins: dict = {c: np.inf for c in checks}
-    argmin: dict = {c: -1 for c in checks}
+    rngs = [np.random.default_rng(s) for s in root.spawn(trials)]
+    members = collections.defaultdict(list)
+    for t, rng in enumerate(rngs):
+        members[int(dims[int(rng.integers(len(dims)))])].append(t)
+
+    # One slack per trial and check; NaN marks a slack not recorded.
+    slacks = {c: np.full(trials, np.nan) for c in checks}
     cond18_pass = 0
-    cond18_total = 0
+    for d, same_dim in sorted(members.items()):
+        size = max(1, _STACK_BYTES // (16 * d * d))
+        for lo in range(0, len(same_dim), size):
+            ix = same_dim[lo:lo + size]
+            g = _draw_stack([rngs[t] for t in ix], map_kind, checks, d)
+            phi = _map_for_stack(map_kind, g.get("isometry"), d)
+            A = _psd_stack(g["A"], diag_only)
+            mu = g["mu"]
+            if "eq1" in checks:
+                x, y = np.ascontiguousarray(g["eq1"].T)
+                slacks["eq1"][ix] = superquadratic_pointwise_check(f, x, y)
+            if "eq2" in checks:
+                x, y, z = np.ascontiguousarray(g["eq2"].T)
+                slacks["eq2"][ix] = scalar_popoviciu_check(f, x, y, z)
+            if "eq4" in checks:
+                B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
+                slacks["eq4"][ix] = popoviciu_operator_check(f, phi, A, B, C, mu)
+            if "eq5" in checks:
+                slacks["eq5"][ix] = intermediate_refinement_check(f, phi, A, g["eq5"], mu)
+            if "eq16" in checks:
+                slacks["eq16"][ix] = corollary_c1_check(f, phi, A, mu)
+            if "eq21" in checks:
+                p2 = proposition_checks(f, phi, A).p2_slack
+                if p2 is not None:
+                    slacks["eq21"][ix] = p2
+            if "mapping" in checks:
+                mp = berezin_mapping_check(f, phi, A)
+                cond18_pass += int(np.count_nonzero(mp.identity_checked))
+                slacks["mapping"][ix] = np.where(
+                    mp.identity_checked, -mp.identity_max_dev, np.nan
+                )
 
-    def record(check: str, slack: float, trial: int) -> None:
-        if slack < mins[check]:
-            mins[check] = slack
-            argmin[check] = trial
+    mins: dict = {}
+    argmin: dict = {}
+    for c in checks:
+        # np.argmin keeps the first of equal minima, the earliest trial.
+        s = np.where(np.isnan(slacks[c]), np.inf, slacks[c])
+        t = int(np.argmin(s)) if trials else -1
+        recorded = t >= 0 and s[t] < np.inf
+        mins[c] = float(s[t]) if recorded else np.inf
+        argmin[c] = t if recorded else -1
 
-    for t, rng in enumerate(streams):
-        d = int(dims[int(rng.integers(len(dims)))])
-        phi = _map_for_trial(map_kind, rng, d)
-        mu = int(rng.integers(phi.output_dim(d)))
-        A = random_psd(rng, d)
-        if diag_only:
-            A = np.diag(np.diag(A))
-
-        if "eq1" in checks:
-            x, y = rng.uniform(0.0, 10.0, size=2)
-            record("eq1", float(superquadratic_pointwise_check(f, x, y)), t)
-        if "eq2" in checks:
-            x, y, z = rng.uniform(0.0, 10.0, size=3)
-            record("eq2", float(scalar_popoviciu_check(f, x, y, z)), t)
-        if "eq4" in checks:
-            B = random_psd(rng, d)
-            C = random_psd(rng, d)
-            if diag_only:
-                B = np.diag(np.diag(B))
-                C = np.diag(np.diag(C))
-            record("eq4", popoviciu_operator_check(f, phi, A, B, C, mu), t)
-        if "eq5" in checks:
-            x = float(rng.uniform(0.0, 10.0))
-            record("eq5", intermediate_refinement_check(f, phi, A, x, mu), t)
-        if "eq16" in checks:
-            record("eq16", corollary_c1_check(f, phi, A, mu), t)
-        if "eq21" in checks:
-            report = proposition_checks(f, phi, A)
-            if report.p2_slack is not None:
-                record("eq21", report.p2_slack, t)
-        if "mapping" in checks:
-            mp = berezin_mapping_check(f, phi, A)
-            cond18_total += 1
-            if not mp.condition18_failing:
-                cond18_pass += 1
-                record("mapping", -float(mp.identity_max_dev), t)
-
-    pass_rate = cond18_pass / cond18_total if cond18_total else None
+    pass_rate = cond18_pass / trials if "mapping" in checks and trials else None
     skipped = tuple(c for c in checks if not np.isfinite(mins[c]))
     mins = {c: float(v) for c, v in mins.items() if np.isfinite(v)}
     return TrialReport(
         seed=int(seed),
-        trials=int(trials),
+        trials=trials,
         dims=dims,
         function=f.name,
         map=map_kind,

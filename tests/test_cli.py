@@ -267,6 +267,19 @@ class TestIneq:
         assert "--dim" in proc.stderr
         assert not proc.stdout
 
+    @pytest.mark.parametrize("exponent", ["inf", "nan", "-inf"])
+    def test_non_finite_exponent_exits_2(self, tmp_path, exponent):
+        proc = run_cli(["ineq", "--f", f"power:{exponent}", "--trials", "5"], tmp_path)
+        assert proc.returncode == 2
+        assert f"power exponent must be finite, got {exponent}" in proc.stderr
+        assert not proc.stdout
+
+    def test_negative_seed_exits_2(self, tmp_path):
+        proc = run_cli(["ineq", "--seed", "-1", "--trials", "5"], tmp_path)
+        assert proc.returncode == 2
+        assert "seed must be >= 0" in proc.stderr
+        assert not proc.stdout
+
     def test_hypothesis_violation_exits_2(self, tmp_path):
         proc = run_cli(["ineq", "--f", "power:1.5", "--check", "eq4"], tmp_path)
         assert proc.returncode == 2

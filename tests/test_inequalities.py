@@ -348,3 +348,245 @@ def test_trial_report_json_shape():
 def test_run_trials_rejects_unknown_check():
     with pytest.raises(ValueError):
         ineq.run_trials(ineq.ScalarFunction.power(2), checks=("eq99",), trials=5)
+
+
+# ---------------------------------------------------------------------------
+# stacked harness against the per-trial loop
+# ---------------------------------------------------------------------------
+
+def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=False):
+    """The per-trial harness loop that run_trials replaced, kept as a reference:
+    one stream per trial, each check evaluated on that trial's 2-D inputs."""
+    root = np.random.SeedSequence(seed)
+    streams = [np.random.default_rng(s) for s in root.spawn(int(trials))]
+    mins = {c: np.inf for c in checks}
+    argmin = {c: -1 for c in checks}
+    cond18_pass = 0
+    cond18_total = 0
+
+    def record(check, slack, trial):
+        if slack < mins[check]:
+            mins[check] = slack
+            argmin[check] = trial
+
+    for t, rng in enumerate(streams):
+        d = int(dims[int(rng.integers(len(dims)))])
+        if map_kind == "identity":
+            phi = ineq.PositiveMap.identity()
+        elif map_kind == "pinching":
+            phi = ineq.PositiveMap.pinching()
+        else:
+            phi = ineq.PositiveMap.compression(ineq.random_isometry(rng, d, max(1, d // 2)))
+        mu = int(rng.integers(phi.output_dim(d)))
+        A = ineq.random_psd(rng, d)
+        if diag_only:
+            A = np.diag(np.diag(A))
+
+        if "eq1" in checks:
+            x, y = rng.uniform(0.0, 10.0, size=2)
+            record("eq1", float(ineq.superquadratic_pointwise_check(f, x, y)), t)
+        if "eq2" in checks:
+            x, y, z = rng.uniform(0.0, 10.0, size=3)
+            record("eq2", float(ineq.scalar_popoviciu_check(f, x, y, z)), t)
+        if "eq4" in checks:
+            B = ineq.random_psd(rng, d)
+            C = ineq.random_psd(rng, d)
+            if diag_only:
+                B = np.diag(np.diag(B))
+                C = np.diag(np.diag(C))
+            record("eq4", ineq.popoviciu_operator_check(f, phi, A, B, C, mu), t)
+        if "eq5" in checks:
+            x = float(rng.uniform(0.0, 10.0))
+            record("eq5", ineq.intermediate_refinement_check(f, phi, A, x, mu), t)
+        if "eq16" in checks:
+            record("eq16", ineq.corollary_c1_check(f, phi, A, mu), t)
+        if "eq21" in checks:
+            report = ineq.proposition_checks(f, phi, A)
+            if report.p2_slack is not None:
+                record("eq21", report.p2_slack, t)
+        if "mapping" in checks:
+            mp = ineq.berezin_mapping_check(f, phi, A)
+            cond18_total += 1
+            if not mp.condition18_failing:
+                cond18_pass += 1
+                record("mapping", -float(mp.identity_max_dev), t)
+
+    pass_rate = cond18_pass / cond18_total if cond18_total else None
+    skipped = tuple(c for c in checks if not np.isfinite(mins[c]))
+    mins = {c: float(v) for c, v in mins.items() if np.isfinite(v)}
+    return mins, argmin, skipped, pass_rate
+
+
+_CHECK_SETS = [(c,) for c in ineq.TRIAL_CHECKS] + [ineq.TRIAL_CHECKS]
+_DIM_SETS = [(2,), (8,), (2, 3, 4, 5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("map_kind", ["identity", "pinching", "compression"])
+@pytest.mark.parametrize("spec", ["power:2", "power:3", "power:2.5", "neg-const"])
+def test_run_trials_equals_per_trial_loop(spec, map_kind):
+    f = ineq.parse_function(spec)
+    for checks in _CHECK_SETS:
+        for dims in _DIM_SETS:
+            for diag_only in (False, True):
+                rep = ineq.run_trials(f, map_kind, checks, 24, dims, 3, diag_only)
+                want = _reference_run_trials(f, map_kind, checks, 24, dims, 3, diag_only)
+                got = (rep.min_slacks, rep.argmin_trial, rep.skipped,
+                       rep.condition18_pass_rate)
+                assert got == want, (checks, dims, diag_only)
+
+
+def test_run_trials_pins_roundoff_minima_at_full_size():
+    # For f(t) = t^2 the slacks of eq16 and eq5 are pure roundoff, so these
+    # minima and argmins move with any change to the floating-point
+    # operations; the values are those of the per-trial loop.
+    f = ineq.ScalarFunction.power(2)
+    mixed = ineq.run_trials(f, "identity", ("eq16",), 1000, (2, 3, 4, 5, 6, 7, 8), 42)
+    assert mixed.argmin_trial == {"eq16": 694}
+    assert mixed.min_slacks == {"eq16": -1.8829382497642655e-13}
+    eight = ineq.run_trials(f, "identity", ("eq16", "eq5"), 1000, (8,), 42)
+    assert eight.argmin_trial == {"eq16": 213, "eq5": 213}
+    assert eight.min_slacks == {"eq16": -1.4566126083082054e-13,
+                                "eq5": -2.6290081223123707e-13}
+    # A compression reads off-diagonal entries too.
+    comp = ineq.run_trials(ineq.ScalarFunction.power(3), "compression",
+                           ineq.TRIAL_CHECKS, 200, (2, 3, 4, 5, 6, 7, 8), 7)
+    assert comp.min_slacks == {
+        "eq1": 0.0011874910240023263, "eq2": 0.03420806927583442,
+        "eq4": -152.09802491835342, "eq5": 0.5575098732689661,
+        "eq16": 0.4488239902233899, "eq21": 0.11290410853217736,
+    }
+    assert comp.argmin_trial == {"eq1": 70, "eq2": 27, "eq4": 191, "eq5": 73,
+                                 "eq16": 137, "eq21": 43, "mapping": -1}
+
+
+def test_run_trials_mapping_records_only_trials_meeting_condition18():
+    # 1 x 1 trials meet condition (18) with equality and 2 x 2 ones fail it,
+    # so unrecorded trials sit between recorded ones.
+    f = ineq.ScalarFunction.power(2)
+    rep = ineq.run_trials(f, "identity", ("mapping",), 20, (1, 2), 5)
+    assert (rep.min_slacks, rep.argmin_trial, rep.skipped, rep.condition18_pass_rate) == (
+        _reference_run_trials(f, "identity", ("mapping",), 20, (1, 2), 5))
+    assert rep.condition18_pass_rate == 0.4
+
+
+def test_run_trials_zero_trials_skips_every_check():
+    rep = ineq.run_trials(ineq.ScalarFunction.power(2), "identity", ("eq16", "mapping"), 0)
+    assert rep.min_slacks == {}
+    assert rep.argmin_trial == {"eq16": -1, "mapping": -1}
+    assert rep.skipped == ("eq16", "mapping")
+    assert rep.condition18_pass_rate is None
+
+
+def test_run_trials_rejects_unknown_map():
+    with pytest.raises(ValueError, match="unknown map kind"):
+        ineq.run_trials(ineq.ScalarFunction.power(2), "transpose", trials=5)
+
+
+@pytest.mark.parametrize("dims", [(), (0,), (3, -1)])
+def test_run_trials_rejects_empty_or_non_positive_dims(dims):
+    with pytest.raises(ValueError, match="dims must be"):
+        ineq.run_trials(ineq.ScalarFunction.power(2), dims=dims, trials=5)
+
+
+def _gaussian(rng, d):
+    return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 8])
+def test_stacked_operators_equal_per_matrix_bit_for_bit(d):
+    f = ineq.ScalarFunction.power(2.5)
+    seeds = range(9)
+    G = np.stack([_gaussian(np.random.default_rng(s), d) for s in seeds])
+    psd = ineq.random_psd(G, d)
+    one_by_one = [ineq.random_psd(np.random.default_rng(s), d) for s in seeds]
+    assert np.array_equal(psd, np.stack(one_by_one))
+
+    shifted = psd - 5.0 * np.eye(d)
+    assert np.array_equal(ineq.functional_calculus(psd, f),
+                          np.stack([ineq.functional_calculus(a, f) for a in psd]))
+    assert np.array_equal(ineq.abs_op(shifted), np.stack([ineq.abs_op(a) for a in shifted]))
+
+    V = ineq.random_isometry(G, d, max(1, d // 2))
+    single = [ineq.random_isometry(np.random.default_rng(s), d, max(1, d // 2)) for s in seeds]
+    assert np.array_equal(V, np.stack(single))
+    phi = ineq.PositiveMap.compression(V)
+    mapped = phi.apply(psd)
+    assert np.array_equal(
+        mapped, np.stack([ineq.PositiveMap.compression(v).apply(a) for v, a in zip(V, psd)])
+    )
+    mu = np.arange(len(psd)) % phi.output_dim(d)
+    assert np.array_equal(ineq.berezin_at(mapped, mu),
+                          [ineq.berezin_at(m, i) for m, i in zip(mapped, mu)])
+
+
+def test_stacked_checks_equal_per_matrix_calls():
+    f = ineq.ScalarFunction.power(3)
+    phi = ineq.PositiveMap.pinching(((0, 2), (1,), (3,)))
+    rng = np.random.default_rng(72)
+    A, B, C = (np.stack([ineq.random_psd(rng, 4) for _ in range(5)]) for _ in range(3))
+    mu = np.array([0, 1, 2, 3, 1])
+    x = rng.uniform(0.0, 10.0, size=5)
+
+    eq4 = ineq.popoviciu_operator_check(f, phi, A, B, C, mu)
+    eq5 = ineq.intermediate_refinement_check(f, phi, A, x, mu)
+    eq16 = ineq.corollary_c1_check(f, phi, A, mu)
+    props = ineq.proposition_checks(f, phi, A)
+    mp = ineq.berezin_mapping_check(f, phi, A)
+    for i in range(5):
+        assert eq4[i] == ineq.popoviciu_operator_check(f, phi, A[i], B[i], C[i], mu[i])
+        assert eq5[i] == ineq.intermediate_refinement_check(f, phi, A[i], x[i], mu[i])
+        assert eq16[i] == ineq.corollary_c1_check(f, phi, A[i], mu[i])
+        one = ineq.proposition_checks(f, phi, A[i])
+        assert (props.p1_slack[i], props.p2_slack[i], props.p3_slack[i]) == (
+            one.p1_slack, one.p2_slack, one.p3_slack)
+        single = ineq.berezin_mapping_check(f, phi, A[i])
+        assert mp.condition18_failing[i] == single.condition18_failing
+        assert mp.condition18_pass_rate[i] == single.condition18_pass_rate
+        assert mp.identity_checked[i] == single.identity_checked
+        assert mp.identity_max_dev[i] == single.identity_max_dev
+        assert mp.sets_equal[i] == single.sets_equal
+    assert np.array_equal(props.min_slack(), np.minimum.reduce(
+        [props.p1_slack, props.p2_slack, props.p3_slack]))
+
+
+def test_single_operator_results_keep_python_scalars():
+    f = ineq.ScalarFunction.power(2)
+    phi = ineq.PositiveMap.identity()
+    a = ineq.random_psd(np.random.default_rng(73), 3)
+    assert type(ineq.corollary_c1_check(f, phi, a, 1)) is float
+    assert type(ineq.intermediate_refinement_check(f, phi, a, 2.0, 0)) is float
+    assert type(ineq.popoviciu_operator_check(f, phi, a, a, a, 2)) is float
+    assert type(ineq.proposition_checks(f, phi, a).p2_slack) is float
+    assert type(ineq.berezin_at(a, 0)) is float
+    mp = ineq.berezin_mapping_check(f, phi, np.diag([1.0, 2.0]))
+    assert mp.condition18_failing == ()
+    assert type(mp.identity_checked) is bool and type(mp.identity_max_dev) is float
+
+
+def test_non_psd_stack_names_first_failing_matrix():
+    stack = np.stack([np.eye(2), np.diag([1.0, -0.5]), np.diag([-2.0, 1.0])])
+    with pytest.raises(ValueError, match=r"not positive \(matrix 1 of the stack\)"):
+        ineq.functional_calculus(stack, ineq.ScalarFunction.power(2))
+    skew = np.stack([np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
+        ineq.abs_op(skew)
+    with pytest.raises(IndexError, match=r"\(matrix 1 of the stack\)"):
+        ineq.berezin_at(stack, np.array([0, 2, 1]))
+
+
+def test_power_rejects_non_finite_exponent():
+    for p in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="power exponent must be finite"):
+            ineq.ScalarFunction.power(p)
+
+
+def test_run_trials_split_into_small_stacks_equals_per_trial_loop(monkeypatch):
+    # 1024 bytes: one trial per stack at d = 8, sixteen at d = 2.
+    monkeypatch.setattr(ineq, "_STACK_BYTES", 1024)
+    dims = (2, 3, 4, 5, 6, 7, 8)
+    for spec, map_kind in (("power:2", "identity"), ("power:3", "compression")):
+        f = ineq.parse_function(spec)
+        rep = ineq.run_trials(f, map_kind, ineq.TRIAL_CHECKS, 60, dims, 11)
+        want = _reference_run_trials(f, map_kind, ineq.TRIAL_CHECKS, 60, dims, 11)
+        assert (rep.min_slacks, rep.argmin_trial, rep.skipped,
+                rep.condition18_pass_rate) == want
