@@ -18,8 +18,6 @@ band; the thresholds are deliberately conservative.
 from __future__ import annotations
 
 import dataclasses
-import os
-import sys
 
 import numpy as np
 
@@ -47,33 +45,14 @@ _GAP_FACTOR = 10.0
 
 
 def __getattr__(name):
-    # scipy.spatial costs about 0.4 s to import; only the coverage and
-    # Hausdorff queries need it, so it is imported on first use (PEP 562).
+    # No code in this package calls cKDTree; the attribute stays resolvable
+    # only because bench/tracer.py wraps it when tracing.  ROADMAP item 1
+    # removes it together with the tracer's KD-tree span.
     if name == "cKDTree":
         from scipy.spatial import cKDTree
 
         return cKDTree
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _kdtree(points):
-    """A KD-tree over points; ``cKDTree`` is looked up on the module per call."""
-    return sys.modules[__name__].cKDTree(points)
-
-
-def _workers() -> int:
-    """Thread count for KD-tree queries, from the BEREZIN_THREADS env var.
-
-    Must be an integer >= 1; values above ``os.cpu_count()`` are capped.
-    """
-    raw = os.environ.get("BEREZIN_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"BEREZIN_THREADS must be an integer >= 1, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"BEREZIN_THREADS must be an integer >= 1, got {raw!r}")
-    return min(n, os.cpu_count() or 1)
 
 
 def _as_points(points) -> np.ndarray:
@@ -134,6 +113,21 @@ def _chain_pops_all(pts: np.ndarray) -> bool:
     return bound <= _CROSS_EPS
 
 
+def _sorted_unique(pts: np.ndarray) -> np.ndarray:
+    """``np.unique(pts, axis=0)``, without the sort when the rows already ascend.
+
+    Callers often pass a cloud that ``np.unique`` has already sorted.  Rows
+    that strictly increase in lexicographic order are their own unique sort.
+    Rows that differ only in the sign of a zero compare equal here, as in
+    ``np.unique``, so they take the sort.
+    """
+    prev, row = pts[:-1], pts[1:]
+    ascend = (row[:, 0] > prev[:, 0]) | ((row[:, 0] == prev[:, 0]) & (row[:, 1] > prev[:, 1]))
+    if np.all(ascend):
+        return pts
+    return np.unique(pts, axis=0)
+
+
 def convex_hull(points) -> np.ndarray:
     """Convex hull vertices in counterclockwise order (monotone chain).
 
@@ -141,12 +135,12 @@ def convex_hull(points) -> np.ndarray:
     (all points equal) or two (all collinear) vertices.  The first vertex
     is the lexicographically smallest point.
     """
-    pts = np.unique(_as_points(points), axis=0)
+    pts = _sorted_unique(_as_points(points))
     if len(pts) == 1:
         return pts
     if _chain_pops_all(pts):
         return pts[[0, -1]]
-    # np.unique sorts lexicographically, which is what the chain needs; the
+    # The rows are in lexicographic order, which is what the chain needs; the
     # filter keeps that order.
     pts = pts[~_deep_inside_octagon(pts)]
     x, y = pts[:, 0], pts[:, 1]
@@ -191,8 +185,8 @@ def default_tolerance(points) -> float:
 def _tolerance(tol, diam: float) -> float:
     if tol is None:
         return max(1e-3 * diam, 1e-12)
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
     return tol
 
 
@@ -343,12 +337,243 @@ def _inside_hull(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
     return inside
 
 
+# Nearest-neighbour search.  Points are cut into quadtree leaves of at most
+# _NN_LEAF points; queries descend a quadtree of their own, one level per
+# pass, each tile carrying the leaves that may hold a nearest point of one of
+# its queries.
+_NN_LEAF = 16
+_NN_BITS = 16  # Morton grid of 2**16 cells per axis
+# Working memory of one search: a vector pass holds at most this many bytes of
+# pair arrays (16 float64 per pair), and one batch of tiles at most this many
+# bytes of candidate leaves; larger batches are split and run depth first.
+_NN_CHUNK_BYTES = 2**21
+_NN_PAIRS = _NN_CHUNK_BYTES // (16 * 8)
+_NN_BATCH = _NN_CHUNK_BYTES // 8
+# Relative slack on every pruning bound: far above the rounding of the few
+# operations that compute one, so no leaf holding a nearest point is dropped.
+_NN_SLACK = 1.0 + 1e-9
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Move bit i of each 16-bit integer to bit 2i."""
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+        v = (v | (v << shift)) & mask
+    return v
+
+
+def _morton(xy: np.ndarray) -> np.ndarray:
+    """Morton codes of points on a 2**16 grid over their bounding square.
+
+    The codes only group points; every bound of the search is computed from
+    the coordinates themselves, so the grouping affects speed, not results.
+    """
+    x, y = xy[:, 0], xy[:, 1]
+    lo = (x.min(), y.min())
+    span = max(x.max() - lo[0], y.max() - lo[1])
+    code = np.zeros(len(xy), dtype=np.int64)
+    for axis, c in enumerate((x, y)):
+        u = c - lo[axis]
+        if span > 0:
+            u /= span
+        u *= 2**_NN_BITS
+        np.minimum(u, 2**_NN_BITS - 1, out=u)
+        code |= _spread(u.astype(np.int64)) << axis
+    return code
+
+
+def _leaves(points: np.ndarray):
+    """Points in Morton order, cut into quadtree leaves of at most _NN_LEAF points.
+
+    A leaf is the largest grid cell holding at most _NN_LEAF points; points
+    sharing a finest cell beyond that are cut every _NN_LEAF.  Returns x and y
+    in that order, each followed by _NN_LEAF infinities so that the window of
+    _NN_LEAF slots from any leaf start stays in bounds (slots past the leaf
+    hold other points or infinity, neither of which changes a minimum), the
+    leaf starts, and per leaf its box (x0, x1, y0, y1) and first point (x, y).
+    """
+    n = len(points)
+    code = _morton(points)
+    order = np.argsort(code)
+    code = code[order]
+    # Two neighbours in Morton order are cut apart when the smallest cell
+    # holding both has more than _NN_LEAF points; that cell is the run of
+    # codes equal above bit ``shift``.
+    differ = code[1:] ^ code[:-1]
+    shift = (np.frexp(differ)[1].astype(np.int64) + 1) // 2 * 2
+    low = (code[1:] >> shift) << shift
+    first = np.searchsorted(code, low)
+    size = np.searchsorted(code, low + (np.int64(1) << shift)) - first
+    cut = np.ones(n, dtype=bool)
+    rank = np.arange(1, n) - first
+    cut[1:] = (size > _NN_LEAF) & ((differ > 0) | (rank % _NN_LEAF == 0))
+    starts = np.flatnonzero(cut)
+    pad = np.full(_NN_LEAF, np.inf)
+    xs = np.concatenate([points[order, 0], pad])
+    ys = np.concatenate([points[order, 1], pad])
+    x, y = xs[:n], ys[:n]
+    columns = (np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts),
+               np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts),
+               x[starts], y[starts])
+    return xs, ys, starts, columns
+
+
+def _rows(ptr: np.ndarray, owners: np.ndarray):
+    """Indices of the CSR rows ``ptr[o]:ptr[o + 1]`` of each owner, end to end."""
+    counts = ptr[owners + 1] - ptr[owners]
+    offsets = np.cumsum(counts) - counts
+    idx = np.repeat(ptr[owners] - offsets, counts) + np.arange(int(counts.sum()))
+    return idx, counts, offsets
+
+
+def _cuts(counts: np.ndarray, size: int) -> np.ndarray:
+    """Cut consecutive groups into runs of about ``size`` elements (whole groups)."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    inner = np.searchsorted(ends, np.arange(size, total, size)) + 1
+    return np.unique(np.concatenate([[0], inner, [len(counts)]]))
+
+
+def _prune(columns, cx, cy, r, leaf, counts, offsets) -> np.ndarray:
+    """Mask of the candidate leaves each tile keeps (leaves grouped by tile).
+
+    A query within r of the tile centre (cx, cy) is within U + r of its
+    nearest point, U the distance from the centre to the nearest first point
+    of the tile's leaves; that point lies within U + 2r of the centre, so a
+    leaf whose box is farther away cannot hold it.
+    """
+    x0, x1, y0, y1, fx, fy = (c.take(leaf) for c in columns)
+    ccx = np.repeat(cx, counts)
+    ccy = np.repeat(cy, counts)
+    ex = np.maximum(x0 - ccx, ccx - x1)
+    np.maximum(ex, 0.0, out=ex)
+    ey = np.maximum(y0 - ccy, ccy - y1)
+    np.maximum(ey, 0.0, out=ey)
+    ex *= ex
+    ey *= ey
+    ex += ey
+    fx -= ccx
+    fy -= ccy
+    fx *= fx
+    fy *= fy
+    fx += fy
+    bound = (np.sqrt(np.minimum.reduceat(fx, offsets)) + 2.0 * r) * _NN_SLACK
+    bound *= bound
+    bound += 2.0**-1000  # so that squares which underflow still compare
+    return ex <= np.repeat(bound, counts)
+
+
+def _leaf_minimum(xs, ys, starts, qx, qy, cand, ptr, owners) -> np.ndarray:
+    """Distance from each query (qx[i], qy[i]) to the nearest point of the
+    leaves ``cand[ptr[owners[i]]:ptr[owners[i] + 1]]``."""
+    out = np.empty(len(owners))
+    slots = np.arange(_NN_LEAF)
+    cuts = _cuts(ptr[owners + 1] - ptr[owners], max(1, _NN_PAIRS // _NN_LEAF))
+    for a, z in zip(cuts[:-1], cuts[1:]):
+        idx, counts, offsets = _rows(ptr, owners[a:z])
+        window = starts.take(cand[idx])[:, None] + slots
+        dx = xs.take(window) - np.repeat(qx[a:z], counts)[:, None]
+        dy = ys.take(window) - np.repeat(qy[a:z], counts)[:, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        out[a:z] = np.minimum.reduceat(dx.min(axis=1), offsets)
+    return np.sqrt(out)
+
+
+def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Exact distance from each query to its nearest point.
+
+    Equal bit for bit to ``np.sqrt(dx*dx + dy*dy).min(axis=1)`` over all
+    points: pruning only drops leaves that cannot hold a nearest point, and
+    each query's distance is the minimum of that formula over the points
+    left.  Queries are sorted in Morton order and split one quadtree level at
+    a time; a tile keeps the leaves :func:`_prune` cannot rule out.  A tile
+    whose queries coincide, or that keeps at most two leaves, is finished by
+    comparing each of its queries with every point of its leaves.
+
+    Cell sizes come from the inputs' bounding boxes.  Each vector pass handles
+    at most ``_NN_PAIRS`` (tile, leaf) pairs and each batch of tiles at most
+    ``_NN_BATCH`` candidate leaves, both set by ``_NN_CHUNK_BYTES``, unless a
+    single tile needs more; a larger batch is split and its parts run depth
+    first.
+    """
+    out = np.empty(len(queries))
+    if len(queries) == 0:
+        return out
+    xs, ys, starts, columns = _leaves(points)
+    # Enough levels that the finest tiles of evenly spread queries hold one each.
+    depth = min(int(np.ceil(np.log2(max(len(queries), 2)))) + 1, _NN_BITS)
+    code = _morton(queries) >> 2 * (_NN_BITS - depth)
+    order = np.argsort(code)
+    leaves = np.arange(len(starts))
+    # A batch: its level, its queries in Morton order (x, y, code, index),
+    # the first query of each tile, and each tile's candidate leaves (CSR).
+    stack = [(0, queries[order, 0], queries[order, 1], code[order], order,
+              np.zeros(1, dtype=np.int64), leaves, np.array([0, len(leaves)]))]
+    while stack:
+        level, qx, qy, code, qidx, tiles, cand, ptr = stack.pop()
+        level += 1
+        m = len(qx)
+        # Split each tile into its children at this level; past the last
+        # level, every query is a tile of its own.
+        key = code >> 2 * (depth - level) if level <= depth else np.arange(m)
+        first = np.empty(m, dtype=bool)
+        first[0] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        first[tiles] = True
+        head = np.flatnonzero(first)
+        parent = np.searchsorted(tiles, head, side="right") - 1
+        sizes = np.diff(head, append=m)
+        x0, x1 = np.minimum.reduceat(qx, head), np.maximum.reduceat(qx, head)
+        y0, y1 = np.minimum.reduceat(qy, head), np.maximum.reduceat(qy, head)
+        cx = x0 + 0.5 * (x1 - x0)
+        cy = y0 + 0.5 * (y1 - y0)
+        dx = qx - np.repeat(cx, sizes)
+        dy = qy - np.repeat(cy, sizes)
+        r = np.sqrt(np.maximum.reduceat(dx * dx + dy * dy, head))
+        kept = np.empty(len(head), dtype=np.int64)
+        parts = []
+        cuts = _cuts(ptr[parent + 1] - ptr[parent], _NN_PAIRS)
+        for a, z in zip(cuts[:-1], cuts[1:]):
+            idx, counts, offsets = _rows(ptr, parent[a:z])
+            leaf = cand[idx]
+            keep = _prune(columns, cx[a:z], cy[a:z], r[a:z], leaf, counts, offsets)
+            kept[a:z] = np.add.reduceat(keep, offsets)
+            parts.append(leaf[keep])
+        cand = np.concatenate(parts)
+        ptr = np.concatenate([[0], np.cumsum(kept)])
+
+        point = (x0 == x1) & (y0 == y1)  # all queries of the tile coincide
+        done = point | (kept <= 2)
+        if done.any():
+            # A tile of coincident queries is compared once, at its centre.
+            tile = np.flatnonzero(point)
+            out[qidx[np.repeat(point, sizes)]] = np.repeat(
+                _leaf_minimum(xs, ys, starts, cx[tile], cy[tile], cand, ptr, tile), sizes[tile])
+            rest = np.repeat(done & ~point, sizes)
+            owner = np.repeat(np.arange(len(head)), sizes)[rest]
+            out[qidx[rest]] = _leaf_minimum(xs, ys, starts, qx[rest], qy[rest], cand, ptr, owner)
+            live = np.repeat(~done, sizes)
+            qx, qy, code, qidx = qx[live], qy[live], code[live], qidx[live]
+            cand = cand[np.repeat(~done, kept)]
+            kept, sizes = kept[~done], sizes[~done]
+            ptr = np.concatenate([[0], np.cumsum(kept)])
+        if len(kept) == 0:
+            continue
+        heads = np.cumsum(sizes) - sizes
+        batches = _cuts(kept, _NN_BATCH)
+        for a, z in zip(batches[-2::-1], batches[:0:-1]):
+            q0, q1 = heads[a], heads[z] if z < len(heads) else len(qx)
+            stack.append((level, qx[q0:q1], qy[q0:q1], code[q0:q1], qidx[q0:q1],
+                          heads[a:z] - q0, cand[ptr[a]:ptr[z]], ptr[a:z + 1] - ptr[a]))
+    return out
+
+
 def _segment_coverage(pts, p0, p1, tol, steps=512):
     """1-D analog of the region coverage test: probe points along the segment."""
     t = np.linspace(0.0, 1.0, steps)
     probes = p0 + t[:, None] * (p1 - p0)
-    dist, _ = _kdtree(pts).query(probes, workers=_workers())
-    return float(np.mean(dist <= tol))
+    return float(np.mean(_nearest_distances(pts, probes) <= tol))
 
 
 def convexity_report(
@@ -405,7 +630,7 @@ def convexity_report(
         return ConvexityReport(shape, verdict, coverage, max_gap, tol, n_samples)
 
     grid = _hull_interior_grid(hull, max(int(grid_steps), 200))
-    dist, _ = _kdtree(pts).query(grid, workers=_workers())
+    dist = _nearest_distances(pts, grid)
     coverage = float(np.mean(dist <= tol))
     max_gap = float(np.max(dist))
     if coverage >= _COVERAGE_CONVEX:
@@ -421,10 +646,7 @@ def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
     pa = _as_points(a)
     pb = _as_points(b)
-    workers = _workers()
-    d_ab, _ = _kdtree(pb).query(pa, workers=workers)
-    d_ba, _ = _kdtree(pa).query(pb, workers=workers)
-    return float(max(d_ab.max(), d_ba.max()))
+    return float(max(_nearest_distances(pb, pa).max(), _nearest_distances(pa, pb).max()))
 
 
 def hull_signed_depth(hull_points, query_points) -> np.ndarray:

@@ -289,12 +289,14 @@ def abs_op(A) -> np.ndarray:
     return 0.5 * (out + _adjoint(out))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class PositiveMap:
     """A unital positive linear map: identity, pinching, or compression.
 
     ``apply`` takes one matrix or a (k, d, d) stack.  A compression may carry
-    one isometry per matrix of a stack: V is then (k, d, m).
+    one isometry per matrix of a stack: V is then (k, d, m).  Equality and
+    hashing go by identity: the ndarray field ``V`` is unhashable and
+    compares elementwise.
     """
 
     kind: str

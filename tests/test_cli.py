@@ -124,6 +124,17 @@ class TestRange:
         assert "RuntimeWarning" not in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, tol):
+        proc = run_cli(
+            ["range", "--space", "hardy", "--symbol", "elliptic", "--alpha", "0.5i",
+             "--r-steps", "20", "--theta-steps", "16", f"--tol={tol}"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert f"tolerance must be finite and > 0, got {tol}" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_missing_alpha_exits_2(self, tmp_path):
         proc = run_cli(
             ["range", "--space", "bergman", "--symbol", "blaschke"], tmp_path
@@ -210,6 +221,18 @@ class TestSweep:
         )
         assert proc.returncode == 0, proc.stderr
         assert "NOT_CONVEX" in proc.stdout
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exits_2(self, tmp_path, tol):
+        proc = run_cli(
+            ["sweep", "--space", "hardy", "--symbol", "elliptic", "--alphas=0.5,0.5i",
+             "--r-steps", "20", "--theta-steps", "16", f"--tol={tol}"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert f"tolerance must be finite and > 0, got {tol}" in proc.stderr
+        assert not proc.stdout
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:
@@ -309,3 +332,20 @@ def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_range_and_sweep_leave_scipy_spatial_unloaded(tmp_path):
+    # A REGION2D range runs the grid coverage test and a SEGMENT sweep the
+    # probe coverage test; neither needs scipy.
+    code = (
+        "import sys\n"
+        "from berezin.cli import main\n"
+        "a = main(['range', '--space', 'hardy', '--symbol', 'elliptic', '--alpha', '0.5i'])\n"
+        "b = main(['sweep', '--space', 'hardy', '--symbol', 'elliptic', '--alphas=-0.5'])\n"
+        "print(a, b, 'scipy.spatial' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "(shape REGION2D," in proc.stdout
+    assert "alpha=-0.5: CONVEX (SEGMENT)" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "0 0 False"

@@ -1,4 +1,4 @@
-import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,8 +160,7 @@ def test_hull_signed_depth_degenerate_hulls():
     np.testing.assert_allclose(depth, [0.0, -1.0], atol=1e-15)
 
 
-def test_thread_count_env_override(monkeypatch):
-    monkeypatch.setenv("BEREZIN_THREADS", "2")
+def test_uniform_square_cloud_is_convex():
     rng = np.random.default_rng(55)
     pts = rng.uniform(size=(3000, 2))
     rep = geometry.convexity_report(pts, tol=0.05)
@@ -425,17 +424,106 @@ def test_one_hull_build_per_report(monkeypatch, points, shape, exact_finite):
     assert len(calls) == 1
 
 
-def test_workers_reads_a_capped_positive_integer(monkeypatch):
-    monkeypatch.delenv("BEREZIN_THREADS", raising=False)
-    assert geometry._workers() == 1
-    monkeypatch.setenv("BEREZIN_THREADS", "1")
-    assert geometry._workers() == 1
-    monkeypatch.setenv("BEREZIN_THREADS", str(10**6))
-    assert geometry._workers() == (os.cpu_count() or 1)
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0], [0.0, 2.0], [1.0, -1.0], [2.0, 0.0]],  # sorted
+    [[2.0, 0.0], [0.0, 2.0], [1.0, -1.0], [0.0, 1.0]],  # unsorted
+    [[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]],  # duplicated
+    [[-0.0, 1.0], [0.0, 1.0], [1.0, -0.0], [1.0, 0.0]],  # differ only in the sign of zero
+    [[0.0, 1.0], [-0.0, 1.0], [1.0, 0.0], [1.0, -0.0]],
+    [[3.0, 4.0]],
+])
+def test_sorted_unique_equals_np_unique(rows):
+    pts = np.array(rows)
+    got = geometry._sorted_unique(pts)
+    ref = np.unique(pts, axis=0)
+    assert got.tobytes() == ref.tobytes()  # sign bits of zeros included
+    assert geometry.convex_hull(pts).tobytes() == geometry.convex_hull(ref).tobytes()
 
 
-@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
-def test_workers_rejects_invalid_thread_counts(monkeypatch, value):
-    monkeypatch.setenv("BEREZIN_THREADS", value)
-    with pytest.raises(ValueError, match="BEREZIN_THREADS"):
-        geometry._workers()
+def test_sorted_unique_skips_the_sort_of_a_sorted_cloud(monkeypatch):
+    pts = np.unique(np.random.default_rng(3).normal(size=(500, 2)), axis=0)
+    monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("sorted twice"))
+    assert geometry._sorted_unique(pts) is pts
+
+
+def reference_nearest(points, queries) -> np.ndarray:
+    """Every query against every point, in the formula the search must match bit for bit."""
+    dx = queries[:, None, 0] - points[None, :, 0]
+    dy = queries[:, None, 1] - points[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy).min(axis=1)
+
+
+def _nn_cloud(shape: str, n: int, rng) -> np.ndarray:
+    centre = rng.normal(size=2)
+    if shape == "equal":
+        return np.tile(centre, (n, 1))
+    if shape == "one":
+        return centre[None, :]
+    if shape in ("horizontal", "vertical", "diagonal"):
+        direction = {"horizontal": (1.0, 0.0), "vertical": (0.0, 1.0), "diagonal": (1.0, 1.0)}[shape]
+        return centre + rng.uniform(-1, 1, size=(n, 1)) * np.array(direction)
+    return _cloud(shape, n, rng)
+
+
+@_settings
+@given(st.sampled_from(_KINDS + ("equal", "one", "horizontal", "vertical", "diagonal")),
+       st.integers(1, 600), st.integers(1, 400), st.integers(1, 3),
+       st.sampled_from([1e-6, 1.0, 1e6]), st.sampled_from(["inside", "outside", "far"]),
+       st.integers(0, 2**32 - 1))
+def test_nearest_distances_equal_brute_force(shape, n, nq, copies, scale, where, seed):
+    rng = np.random.default_rng(seed)
+    pts = np.repeat(_nn_cloud(shape, n, rng), copies, axis=0) * scale
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = float(np.max(hi - lo)) or scale
+    if where == "inside":
+        queries = rng.uniform(lo, hi, size=(nq, 2))
+    elif where == "outside":
+        queries = rng.uniform(lo - 3 * span, hi + 3 * span, size=(nq, 2))
+    else:
+        queries = lo + rng.normal(size=(nq, 2)) * 1e4 * span
+    queries[: nq // 4] = pts[rng.integers(0, len(pts), nq // 4)]  # queries on points
+    np.testing.assert_array_equal(geometry._nearest_distances(pts, queries),
+                                  reference_nearest(pts, queries))
+
+
+@pytest.mark.parametrize("space, symbol, alpha", [
+    ("hardy", "blaschke", 0.3j),  # a 2-D range with holes: many queries far from the cloud
+    ("bergman", "elliptic", 1j),  # points on rays, dense near their ends
+])
+def test_nearest_distances_on_a_berezin_range_coverage_grid(space, symbol, alpha):
+    grid = closed_form.PolarGrid.regular(60, 64, 0.998)
+    spec = {"hardy": kernels.HARDY, "bergman": kernels.BERGMAN}[space]
+    make = {"blaschke": symbols.blaschke, "elliptic": symbols.elliptic}[symbol]
+    pts = np.unique(closed_form.sample_range(spec, make(alpha), grid).points(), axis=0)
+    queries = geometry._hull_interior_grid(geometry.convex_hull(pts), 120)
+    np.testing.assert_array_equal(geometry._nearest_distances(pts, queries),
+                                  reference_nearest(pts, queries))
+
+
+@pytest.mark.parametrize("pairs, batch", [(1, 1), (100, 30), (2000, 500)])
+def test_nearest_distances_in_small_passes_and_batches(monkeypatch, pairs, batch):
+    # Tiny limits split every pass and every batch, which full-size inputs
+    # rarely need.
+    monkeypatch.setattr(geometry, "_NN_PAIRS", pairs)
+    monkeypatch.setattr(geometry, "_NN_BATCH", batch)
+    rng = np.random.default_rng(11)
+    pts = np.repeat(_cloud("annulus", 1500, rng), 2, axis=0)
+    queries = rng.uniform(-1.2, 1.2, size=(1000, 2))
+    np.testing.assert_array_equal(geometry._nearest_distances(pts, queries),
+                                  reference_nearest(pts, queries))
+
+
+def test_nearest_distances_memory_is_bounded():
+    # The largest coverage test of the benchmark: 50,945 points, 31,086 queries.
+    sample = closed_form.sample_range(kernels.BERGMAN, symbols.blaschke(0.5),
+                                      closed_form.PolarGrid.regular(200, 256, 0.998))
+    pts = np.unique(sample.points(), axis=0)
+    queries = geometry._hull_interior_grid(geometry.convex_hull(pts), 200)
+    assert (len(pts), len(queries)) == (50945, 31086)
+    tracemalloc.start()
+    try:
+        geometry._nearest_distances(pts, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # measured: 8.3 MiB

@@ -590,3 +590,13 @@ def test_run_trials_split_into_small_stacks_equals_per_trial_loop(monkeypatch):
         want = _reference_run_trials(f, map_kind, ineq.TRIAL_CHECKS, 60, dims, 11)
         assert (rep.min_slacks, rep.argmin_trial, rep.skipped,
                 rep.condition18_pass_rate) == want
+
+
+def test_positive_map_hashes_and_compares_by_identity():
+    V = ineq.random_isometry(np.random.default_rng(0), 4, 2)
+    phi = ineq.PositiveMap.compression(V)
+    twin = ineq.PositiveMap.compression(V.copy())
+    assert hash(phi) == hash(phi)
+    assert phi == phi
+    assert phi != twin
+    assert len({phi, twin, ineq.PositiveMap.identity()}) == 3
