@@ -13,8 +13,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import closed_form as cf
 from . import geometry
 from . import inequalities as ineq
@@ -128,8 +126,8 @@ def cmd_range(args) -> int:
     space = _SPACES[args.space]
     symbol = _build_symbol(args)
     sample = cf.sample_range(space, symbol, config.grid())
-    points = np.unique(sample.points(), axis=0)
-    report = geometry.convexity_report(points, tol=config.tolerance)
+    cloud = sample.points()
+    report = geometry.convexity_report(geometry._sorted_unique(cloud), tol=config.tolerance)
 
     stem = f"range_{args.space}_{args.symbol}"
     csv_path = args.csv or f"{stem}.csv"
@@ -148,7 +146,7 @@ def cmd_range(args) -> int:
     }
     output.write_csv(csv_path, sample)
     output.write_json(json_path, payload)
-    output.write_svg(svg_path, sample.points(), title=f"{args.space} {symbol.label}")
+    output.write_svg(svg_path, cloud, title=f"{args.space} {symbol.label}")
     print(
         f"{args.space} {symbol.label}: verdict {report.verdict} "
         f"(shape {report.shape.tag}, ber {sample.berezin_number():.6f})"
@@ -180,7 +178,7 @@ def cmd_sweep(args) -> int:
             symbol = symbols.automorphism(value, 0.0)
         sample = cf.sample_range(space, symbol, grid)
         report = geometry.convexity_report(
-            np.unique(sample.points(), axis=0), tol=config.tolerance
+            geometry._sorted_unique(sample.points()), tol=config.tolerance
         )
         entries.append(
             {

@@ -101,10 +101,6 @@ class PolarGrid:
         t = np.linspace(0.0, TWO_PI, int(theta_steps), endpoint=False)
         return cls(r, t)
 
-    @classmethod
-    def default(cls) -> "PolarGrid":
-        return cls.regular()
-
     def mesh(self) -> np.ndarray:
         """Complex points z = r * exp(i theta), shape (len(r), len(theta))."""
         return self.r_values[:, None] * np.exp(1j * self.theta_values)[None, :]

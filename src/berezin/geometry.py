@@ -43,6 +43,22 @@ _COVERAGE_NOT_CONVEX = 0.90
 # A SEGMENT is convex when no projection gap exceeds this many tolerances.
 _GAP_FACTOR = 10.0
 
+# Working memory of one vectorised search (nearest neighbours, the diameter's
+# pair scan) stays within about this many bytes per pass.
+_CHUNK_BYTES = 2**21
+# Relative slack on every pruning bound: far above the rounding of the few
+# operations that compute one, so no candidate that can win is dropped.
+_SLACK = 1.0 + 1e-9
+
+# The diameter scans pairs of blocks of this many consecutive hull vertices,
+# at most _DIAM_PAIRS of them (64 bytes of index and distance arrays per
+# vertex pair) per pass.
+_DIAM_LEAF = 8
+_DIAM_PAIRS = _CHUNK_BYTES // (64 * _DIAM_LEAF**2)
+# (point, edge) pairs per block of the all-edges test, in two float64 arrays:
+# 256 KiB, small next to the arrays of the two-edge test over the whole grid.
+_BAND_ENTRIES = 2**14
+
 
 def __getattr__(name):
     # No code in this package calls cKDTree; the attribute stays resolvable
@@ -114,18 +130,24 @@ def _chain_pops_all(pts: np.ndarray) -> bool:
 
 
 def _sorted_unique(pts: np.ndarray) -> np.ndarray:
-    """``np.unique(pts, axis=0)``, without the sort when the rows already ascend.
+    """``np.unique(pts, axis=0)`` of a finite (n, 2) array, by one stable sort.
 
-    Callers often pass a cloud that ``np.unique`` has already sorted.  Rows
-    that strictly increase in lexicographic order are their own unique sort.
-    Rows that differ only in the sign of a zero compare equal here, as in
-    ``np.unique``, so they take the sort.
+    Rows that already strictly increase in lexicographic order are returned
+    as they are.  Otherwise ``np.lexsort`` orders the rows by x, then y, and
+    each row equal to its predecessor is dropped: the rows and the order of
+    ``np.unique``.  Rows that differ only in the sign of a zero compare equal
+    in both, but which of them ``np.unique``'s unstable sort keeps is its
+    own, so a cloud holding such rows takes ``np.unique`` itself.
     """
     prev, row = pts[:-1], pts[1:]
     ascend = (row[:, 0] > prev[:, 0]) | ((row[:, 0] == prev[:, 0]) & (row[:, 1] > prev[:, 1]))
     if np.all(ascend):
         return pts
-    return np.unique(pts, axis=0)
+    rows = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    same = np.all(rows[1:] == rows[:-1], axis=1)
+    if np.any(rows[1:][same].view(np.int64) != rows[:-1][same].view(np.int64)):
+        return np.unique(pts, axis=0)
+    return rows[np.concatenate([[True], ~same])]
 
 
 def convex_hull(points) -> np.ndarray:
@@ -193,21 +215,79 @@ def _tolerance(tol, diam: float) -> float:
 def _diameter(hull: np.ndarray):
     """Exact diameter of a point set and the realizing pair, from its hull.
 
-    The pair is the first maximal one in row-major order of the distance
-    matrix, which is built in blocks of rows of about 2**18 entries each,
-    so memory stays bounded for hulls of thousands of vertices.
+    The pair is the first maximal one in row-major order of the matrix of
+    ``dx*dx + dy*dy`` over all vertex pairs, found without building it.  The
+    antipodal pairs of rotating calipers give a squared distance ``floor``
+    that some pair attains.  Blocks of consecutive vertices, halved level by
+    level, then prune pairs of blocks whose bounding boxes are no farther
+    apart than ``floor``: box corners bound every squared distance of their
+    points, since rounding is monotone, so no maximal pair is dropped even
+    when the input is not exactly convex.  The surviving pairs are scanned in
+    chunks of at most ``_DIAM_PAIRS`` pairs of blocks.
     """
-    if len(hull) == 1:
+    n = len(hull)
+    if n == 1:
         return 0.0, (hull[0], hull[0])
-    rows = max(1, 2**18 // len(hull))
-    best, bi, bj = -1.0, 0, 0
-    for start in range(0, len(hull), rows):
-        diff = hull[start : start + rows, None, :] - hull[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
-        if d2[i, j] > best:
-            best, bi, bj = d2[i, j], start + i, j
-    return float(np.sqrt(best)), (hull[bi], hull[bj])
+    floor = _antipodal_floor(hull)
+    leaf = _DIAM_LEAF
+    boxes = []  # per level: (x0, x1, y0, y1) of blocks of leaf * 2**level vertices
+    while not boxes or len(boxes[-1][0]) > 1:
+        starts = np.arange(0, n, leaf << len(boxes))
+        boxes.append(tuple(f.reduceat(hull[:, c], starts)
+                           for c in (0, 1) for f in (np.minimum, np.maximum)))
+    best, key = -1.0, 0
+    slots = np.arange(leaf)
+    stack = [(len(boxes) - 1, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64))]
+    while stack:
+        level, a, b = stack.pop()
+        if level == 0:
+            i = ((a * leaf)[:, None] + slots).repeat(leaf, axis=1).ravel()
+            j = np.tile((b * leaf)[:, None] + slots, leaf).ravel()
+            ok = (i < n) & (j < n)
+            i, j = i[ok], j[ok]
+            diff = hull[i] - hull[j]
+            d2 = np.einsum("ik,ik->i", diff, diff)
+            top = d2.max()
+            if top >= best:
+                hit = d2 == top
+                first = int(np.min(i[hit] * n + j[hit]))
+                key = first if top > best else min(key, first)
+                best = top
+            continue
+        # Split each pair of blocks into its four pairs of halves; by symmetry
+        # of the matrix only pairs with a <= b can hold the first maximum.
+        level -= 1
+        a = ((2 * a)[:, None] + [0, 0, 1, 1]).ravel()
+        b = ((2 * b)[:, None] + [0, 1, 0, 1]).ravel()
+        x0, x1, y0, y1 = boxes[level]
+        keep = (a <= b) & (b < len(x0))
+        a, b = a[keep], b[keep]
+        dx = np.maximum(x1[a] - x0[b], x1[b] - x0[a])
+        dy = np.maximum(y1[a] - y0[b], y1[b] - y0[a])
+        keep = (dx * dx + dy * dy) * _SLACK >= floor
+        a, b = a[keep], b[keep]
+        for s in range(0, len(a), _DIAM_PAIRS):
+            stack.append((level, a[s : s + _DIAM_PAIRS], b[s : s + _DIAM_PAIRS]))
+    return float(np.sqrt(best)), (hull[key // n], hull[key % n])
+
+
+def _antipodal_floor(hull: np.ndarray) -> float:
+    """Largest ``dx*dx + dy*dy`` over the antipodal vertex pairs of the hull.
+
+    Each edge pairs its two endpoints with the vertex where the edge
+    directions pass the edge's own plus pi (and that vertex's neighbours).
+    For a convex polygon these pairs hold the diameter; for any input the
+    result is the squared distance of an actual pair, so at most the maximum.
+    """
+    n = len(hull)
+    edges = np.roll(hull, -1, axis=0) - hull
+    # Monotone even where rounding makes the polygon not quite convex.
+    angle = np.maximum.accumulate(np.unwrap(np.arctan2(edges[:, 1], edges[:, 0])))
+    far = np.searchsorted(np.concatenate([angle, angle + 2 * np.pi]), angle + np.pi)
+    i = (np.arange(n)[:, None] + [0, 1, 0, 1, 0, 1]) % n
+    j = (far[:, None] + [-1, -1, 0, 0, 1, 1]) % n
+    diff = hull[i.ravel()] - hull[j.ravel()]
+    return float(np.einsum("ik,ik->i", diff, diff).max())
 
 
 def _segment_distances(pts: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -290,37 +370,28 @@ def _hull_interior_grid(hull: np.ndarray, steps: int) -> np.ndarray:
     return grid[_inside_hull(hull, grid)]
 
 
-def _inside_all_edges(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """CCW hull: a point is inside iff it is on the left of every edge."""
-    inside = np.ones(len(points), dtype=bool)
-    nxt = np.roll(np.arange(len(hull)), -1)
-    for i, j in zip(range(len(hull)), nxt):
-        ex, ey = hull[j] - hull[i]
-        cross = ex * (points[:, 1] - hull[i, 1]) - ey * (points[:, 0] - hull[i, 0])
-        inside &= cross >= -_CROSS_EPS
-    return inside
-
-
 def _inside_hull(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """The mask of :func:`_inside_all_edges`, testing two edges per point.
+    """Mask of the points left of (or within _CROSS_EPS of) every CCW hull edge.
 
-    Each point meets the lower and the upper hull edge spanning its x, found
-    by binary search, in the same cross expression as the all-edges loop.  A
-    cross below -_CROSS_EPS is that loop's very float, so the point is out.
-    Rounding in one cross is below 1e-15 * D**2 (D the diagonal of the
-    bounding box); where that is at most _CROSS_EPS, two spanning crosses of
-    at least _CROSS_EPS put the point inside the exact polygon, so every edge
-    passes.  Only the thin band in between takes the all-edges loop, and so
-    do hulls with a vertical edge, whose chains are not monotone in x.
+    ``hull[0]`` is the leftmost vertex.  Each point meets the lower and the
+    upper hull edge spanning its x, found by binary search, in the cross
+    expression of :func:`_inside_every_edge`.  A cross below -_CROSS_EPS is
+    that test's very float, so the point is out.  Rounding in one cross is
+    below 1e-15 * D**2 (D the diagonal of the bounding box); where that is at
+    most _CROSS_EPS, two spanning crosses of at least _CROSS_EPS put a point
+    strictly between x_min and x_max inside the exact polygon, so every edge,
+    vertical ones included, passes.  Both chains are strictly monotone in x
+    apart from a vertical edge at x_min or x_max, which no point strictly
+    between them spans.  The rest (points with x <= x_min or x >= x_max, the
+    thin band in between, and every point not ruled out when the span is too
+    large) meets every edge.
     """
     n = len(hull)
     edges = np.roll(hull, -1, axis=0) - hull
     span = hull.max(axis=0) - hull.min(axis=0)
-    if np.any(edges[:, 0] == 0) or 1e-15 * float(span @ span) > _CROSS_EPS:
-        return _inside_all_edges(hull, points)
     px, py = points[:, 0], points[:, 1]
-    # hull[0] is the leftmost vertex and hull[k] the rightmost: edges 0..k-1
-    # form the lower chain, edges k..n-1 the upper chain (right to left).
+    # hull[k], the first rightmost vertex, ends the lower chain: edges 0..k-1
+    # form the lower chain, the others the upper chain (right to left).
     k = int(np.argmax(hull[:, 0]))
     lower = np.clip(np.searchsorted(hull[: k + 1, 0], px, side="right") - 1, 0, k - 1)
     upper_x = np.append(hull[0, 0], hull[: k - 1 : -1, 0])  # hull[0], hull[n-1], ..., hull[k]
@@ -331,9 +402,31 @@ def _inside_hull(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     c_lo, c_up = cross(lower), cross(upper)
     outside = (c_lo < -_CROSS_EPS) | (c_up < -_CROSS_EPS)
-    inside = (c_lo >= _CROSS_EPS) & (c_up >= _CROSS_EPS) & (px >= hull[0, 0]) & (px <= hull[k, 0])
+    inside = (c_lo >= _CROSS_EPS) & (c_up >= _CROSS_EPS) & (px > hull[0, 0]) & (px < hull[k, 0])
+    if 1e-15 * float(span @ span) > _CROSS_EPS:
+        inside[:] = False
     band = ~(outside | inside)
-    inside[band] = _inside_all_edges(hull, points[band])
+    inside[band] = _inside_every_edge(hull, edges, points[band])
+    return inside
+
+
+def _inside_every_edge(hull: np.ndarray, edges: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Whether each point's cross against every CCW edge is >= -_CROSS_EPS.
+
+    The cross of edge i is ``ex * (y - hull[i, 1]) - ey * (x - hull[i, 0])``
+    with (ex, ey) = hull[i + 1] - hull[i], evaluated on blocks of at most
+    ``_BAND_ENTRIES`` (point, edge) pairs.
+    """
+    inside = np.empty(len(points), dtype=bool)
+    rows = max(1, _BAND_ENTRIES // len(hull))
+    for s in range(0, len(points), rows):
+        block = points[s : s + rows, :, None]
+        c = block[:, 1] - hull[:, 1]
+        c *= edges[:, 0]
+        d = block[:, 0] - hull[:, 0]
+        d *= edges[:, 1]
+        c -= d
+        inside[s : s + rows] = np.all(c >= -_CROSS_EPS, axis=1)
     return inside
 
 
@@ -343,15 +436,11 @@ def _inside_hull(hull: np.ndarray, points: np.ndarray) -> np.ndarray:
 # its queries.
 _NN_LEAF = 16
 _NN_BITS = 16  # Morton grid of 2**16 cells per axis
-# Working memory of one search: a vector pass holds at most this many bytes of
-# pair arrays (16 float64 per pair), and one batch of tiles at most this many
-# bytes of candidate leaves; larger batches are split and run depth first.
-_NN_CHUNK_BYTES = 2**21
-_NN_PAIRS = _NN_CHUNK_BYTES // (16 * 8)
-_NN_BATCH = _NN_CHUNK_BYTES // 8
-# Relative slack on every pruning bound: far above the rounding of the few
-# operations that compute one, so no leaf holding a nearest point is dropped.
-_NN_SLACK = 1.0 + 1e-9
+# A vector pass holds at most _CHUNK_BYTES of pair arrays (16 float64 per
+# pair), and one batch of tiles at most _CHUNK_BYTES of candidate leaves;
+# larger batches are split and run depth first.
+_NN_PAIRS = _CHUNK_BYTES // (16 * 8)
+_NN_BATCH = _CHUNK_BYTES // 8
 
 
 def _spread(v: np.ndarray) -> np.ndarray:
@@ -456,7 +545,7 @@ def _prune(columns, cx, cy, r, leaf, counts, offsets) -> np.ndarray:
     fx *= fx
     fy *= fy
     fx += fy
-    bound = (np.sqrt(np.minimum.reduceat(fx, offsets)) + 2.0 * r) * _NN_SLACK
+    bound = (np.sqrt(np.minimum.reduceat(fx, offsets)) + 2.0 * r) * _SLACK
     bound *= bound
     bound += 2.0**-1000  # so that squares which underflow still compare
     return ex <= np.repeat(bound, counts)
@@ -493,7 +582,7 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     Cell sizes come from the inputs' bounding boxes.  Each vector pass handles
     at most ``_NN_PAIRS`` (tile, leaf) pairs and each batch of tiles at most
-    ``_NN_BATCH`` candidate leaves, both set by ``_NN_CHUNK_BYTES``, unless a
+    ``_NN_BATCH`` candidate leaves, both set by ``_CHUNK_BYTES``, unless a
     single tile needs more; a larger batch is split and its parts run depth
     first.
     """

@@ -17,12 +17,19 @@ import numpy as np
 
 __all__ = ["atomic_write_text", "write_csv", "write_json", "write_svg"]
 
+# Points per formatted block of an SVG file.
+_SVG_BLOCK = 4096
 
-def atomic_write_text(path, text: str) -> None:
+
+def atomic_write_text(path, text) -> None:
     """Write text to path via a same-directory temp file and os.replace.
 
-    The file gets mode 0o666 less the process umask, as a plain open() would.
+    ``text`` is a string or an iterable of strings written one after the
+    other, so a large file need not exist as one string in memory.  The file
+    gets mode 0o666 less the process umask, as a plain open() would.
     """
+    if isinstance(text, str):
+        text = (text,)
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)
@@ -32,7 +39,7 @@ def atomic_write_text(path, text: str) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             # mkstemp creates the file 0600
             os.fchmod(handle.fileno(), 0o666 & ~umask)
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -44,18 +51,19 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_csv(path, sample) -> None:
     """RangeSample -> CSV with header r,theta,re,im, rows in r-major order."""
-    rows = ["r,theta,re,im"]
     values = np.asarray(sample.values)
     thetas = [repr(theta) + "," for theta in sample.grid.theta_values.tolist()]
-    for r, re_row, im_row in zip(
-        sample.grid.r_values.tolist(), values.real.tolist(), values.imag.tolist()
-    ):
-        prefix = repr(r) + ","
-        rows.extend(
-            prefix + theta + repr(re) + "," + repr(im)
-            for theta, re, im in zip(thetas, re_row, im_row)
-        )
-    atomic_write_text(path, "\n".join(rows) + "\n")
+
+    def lines():
+        yield "r,theta,re,im\n"
+        for r, re_row, im_row in zip(sample.grid.r_values.tolist(), values.real, values.imag):
+            prefix = repr(r) + ","
+            yield "".join([
+                f"{prefix}{theta}{re!r},{im!r}\n"
+                for theta, re, im in zip(thetas, re_row.tolist(), im_row.tolist())
+            ])
+
+    atomic_write_text(path, lines())
 
 
 def write_json(path, payload: dict) -> None:
@@ -97,12 +105,16 @@ def write_svg(path, points, title: str = "Berezin range") -> None:
         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{scale:.3f}" '
         'fill="none" stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>',
     ]
-    if xy.size:
-        px, py = _svg_coords(xy, half, size)
-        for x, y in zip(px, py):
-            parts.append(
-                f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.6" '
-                'fill="#1f77b4" fill-opacity="0.55"/>'
-            )
-    parts.append("</svg>")
-    atomic_write_text(path, "\n".join(parts) + "\n")
+    px, py = _svg_coords(xy, half, size)
+    coords = np.column_stack([px, py])
+    # One % per block of points: the bytes of a per-point f"{x:.3f}".
+    marker = '<circle cx="%.3f" cy="%.3f" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>\n'
+
+    def lines():
+        yield "\n".join(parts) + "\n"
+        for s in range(0, len(coords), _SVG_BLOCK):
+            block = coords[s : s + _SVG_BLOCK]
+            yield (marker * len(block)) % tuple(block.ravel().tolist())
+        yield "</svg>\n"
+
+    atomic_write_text(path, lines())

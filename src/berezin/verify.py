@@ -67,7 +67,7 @@ def _bool_check(suite: str, name: str, ok: bool, detail: str = "") -> CheckResul
 
 
 def _sample(space, symbol, grid=None) -> np.ndarray:
-    grid = grid or cf.PolarGrid.default()
+    grid = grid or cf.PolarGrid.regular()
     return cf.sample_range(space, symbol, grid).values
 
 
@@ -103,11 +103,11 @@ def suite_hardy_elliptic() -> list[CheckResult]:
         )
     )
     rep = geometry.convexity_report(
-        np.unique(np.column_stack([re.ravel(), im.ravel()]), axis=0)
+        geometry._sorted_unique(np.column_stack([re.ravel(), im.ravel()]))
     )
     out.append(_bool_check(s, "real-segment-verdict-convex", rep.verdict == "CONVEX", rep.verdict))
 
-    grid = cf.PolarGrid.default()
+    grid = cf.PolarGrid.regular()
     for alpha in (-0.5, 0.3, 0.25 + 0.25j, 0.8j):
         vals = _sample(kernels.HARDY, symbols.elliptic(alpha), grid)
         dev_theta = float(np.max(np.abs(vals - vals[:, :1])))
@@ -126,7 +126,7 @@ def suite_hardy_elliptic() -> list[CheckResult]:
 def suite_bergman_elliptic() -> list[CheckResult]:
     s = "bergman-elliptic"
     out = []
-    grid = cf.PolarGrid.default()
+    grid = cf.PolarGrid.regular()
     mesh = grid.mesh()
     for alpha in (-0.5, 0.25 + 0.25j):
         symb = symbols.elliptic(alpha)
@@ -236,8 +236,8 @@ def suite_blaschke() -> list[CheckResult]:
     worst = max(worst, abs(lim0.value - 1.0))
     out.append(CheckResult(s, "boundary-limits", worst, 1e-3))
 
-    pts = cf.sample_range(kernels.BERGMAN, symbols.blaschke(0.5), cf.PolarGrid.default()).points()
-    rep = geometry.convexity_report(np.unique(pts, axis=0))
+    pts = cf.sample_range(kernels.BERGMAN, symbols.blaschke(0.5), cf.PolarGrid.regular()).points()
+    rep = geometry.convexity_report(geometry._sorted_unique(pts))
     out.append(
         _bool_check(s, "bergman-alpha-0.5-not-convex", rep.verdict == "NOT_CONVEX", rep.verdict)
     )
@@ -247,7 +247,7 @@ def suite_blaschke() -> list[CheckResult]:
 def suite_automorphism_b0() -> list[CheckResult]:
     s = "automorphism-b0"
     out = []
-    grid = cf.PolarGrid.default()
+    grid = cf.PolarGrid.regular()
     mesh = grid.mesh()
     worst = 0.0
     for a in (np.exp(1j * np.pi / 8), 1j, np.exp(3j * np.pi / 4), 1.0):
@@ -268,7 +268,7 @@ def suite_automorphism_b0() -> list[CheckResult]:
     detail = []
     for a in (1.0, -1.0, 1j, -1j):
         pts = cf.sample_range(kernels.HARDY, symbols.automorphism(a, 0.0), sweep).points()
-        rep = geometry.convexity_report(np.unique(pts, axis=0))
+        rep = geometry.convexity_report(geometry._sorted_unique(pts))
         ok = ok and rep.verdict == "CONVEX"
         detail.append(f"a={a}: {rep.verdict}")
     out.append(_bool_check(s, "convex-at-fourth-roots", ok, "; ".join(detail)))

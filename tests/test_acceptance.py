@@ -19,7 +19,7 @@ from berezin.geometry import convexity_report, hausdorff_distance, hull_signed_d
 from berezin.inequalities import PositiveMap, ScalarFunction
 from berezin.kernels import BERGMAN, HARDY
 
-DEFAULT_GRID = cf.PolarGrid.default()
+DEFAULT_GRID = cf.PolarGrid.regular()
 
 # Sweep grid for criterion 3: radii uniform in r^2 with enough resolution
 # that the steepest real-alpha segment (|d value / d r^2| up to ~9.3 near

@@ -258,6 +258,38 @@ def test_blocked_diameter_equals_whole_matrix(n, rounded):
     np.testing.assert_array_equal(np.vstack([p0, p1]), np.vstack([r0, r1]))
 
 
+def _diameter_input(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "polygon":  # regular 2m-gon, in hull order
+        t = np.pi * np.arange(2 * n) / n
+        return np.column_stack([np.cos(t), np.sin(t)])
+    if kind == "mirror":  # symmetric under x -> -x and y -> -y: exact ties
+        q = rng.uniform(0, 1, size=(n, 2))
+        return geometry.convex_hull(np.vstack([q, q * [-1, 1], q * [1, -1], -q]))
+    if kind == "rounded":  # rounding leaves the polygon not quite convex
+        t = 2 * np.pi * np.arange(n) / n + rng.uniform(0, 1)
+        return np.round(np.column_stack([np.cos(t), 0.5 * np.sin(t)]), int(rng.integers(1, 4)))
+    if kind == "duplicates":
+        hull = geometry.convex_hull(_cloud("disk", n, rng))
+        return np.repeat(hull, rng.integers(1, 4, size=len(hull)), axis=0)
+    if kind == "collinear":
+        return np.outer(rng.uniform(-1, 1, n), rng.normal(size=2))
+    if kind == "cloud":  # no hull order at all
+        return _cloud(str(rng.choice(_KINDS)), n, rng)
+    return rng.normal(size=(n % 3 + 1, 2))  # "few": one to three points
+
+
+@_settings
+@given(st.sampled_from(["polygon", "mirror", "rounded", "duplicates", "collinear", "cloud", "few"]),
+       st.integers(1, 600), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]))
+def test_diameter_equals_whole_matrix_on_drawn_inputs(kind, n, seed, scale):
+    points = _diameter_input(kind, n, np.random.default_rng(seed)) * scale
+    diam, (p0, p1) = geometry._diameter(points)
+    ref, (r0, r1) = reference_diameter(points)
+    assert diam == ref
+    np.testing.assert_array_equal(np.vstack([p0, p1]), np.vstack([r0, r1]))
+
+
 def _contains_all(hull, points) -> bool:
     """Whether the chain's output is a hull of its input: every point in it."""
     if len(hull) >= 3:
@@ -377,6 +409,32 @@ def test_inside_mask_on_hulls_with_vertical_edges(seed):
                                   reference_inside(hull, points))
 
 
+@_settings
+@given(st.sampled_from(["left", "right", "both"]), st.integers(3, 400), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-6, 1.0, 30.0, 1e3, 1e6]), st.integers(3, 60))
+def test_inside_mask_with_vertical_edges_equals_all_edges_loop(ends, n, seed, scale, steps):
+    # Scales from 30 up take hulls past the span (D > 32) where the two-edge
+    # test decides nothing inside.
+    rng = np.random.default_rng(seed)
+    pts = _cloud(str(rng.choice(_KINDS)), n, rng) * scale + rng.normal(size=2)
+    lo, hi = pts[:, 0].min(), pts[:, 0].max()
+    if ends in ("left", "both"):
+        pts[rng.integers(0, n, 2), 0] = lo
+    if ends in ("right", "both"):
+        pts[rng.integers(0, n, 2), 0] = hi
+    hull = geometry.convex_hull(pts)
+    vertical = np.roll(hull, -1, axis=0)[:, 0] == hull[:, 0]
+    assume(len(hull) >= 3)
+    assume(vertical[hull[:, 0] == lo].any() == (ends != "right"))
+    assume(vertical[hull[:, 0] == hi].any() == (ends != "left"))
+    ys = np.linspace(pts[:, 1].min(), pts[:, 1].max(), steps)
+    ys = np.concatenate([ys, hull[:, 1], ys[[0, -1]] + np.array([-1.0, 1.0]) * (ys[-1] - ys[0])])
+    on_ends = np.column_stack([np.repeat([lo, hi], len(ys)), np.tile(ys, 2)])
+    points = np.vstack([_mask_cases(hull, rng, steps), on_ends])
+    np.testing.assert_array_equal(geometry._inside_hull(hull, points),
+                                  reference_inside(hull, points))
+
+
 def test_inside_mask_on_exact_boundary_points():
     square = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
     diamond = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
@@ -438,6 +496,34 @@ def test_sorted_unique_equals_np_unique(rows):
     ref = np.unique(pts, axis=0)
     assert got.tobytes() == ref.tobytes()  # sign bits of zeros included
     assert geometry.convex_hull(pts).tobytes() == geometry.convex_hull(ref).tobytes()
+
+
+@_settings
+@given(st.lists(st.tuples(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324, 1e300]),
+                          st.sampled_from([0.0, -0.0, 2.0, -2.0, 5e-324])),
+                min_size=1, max_size=40),
+       st.lists(st.tuples(_coords, _coords), max_size=20), st.integers(1, 100),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_sorted_unique_equals_np_unique_on_drawn_rows(few, many, copies, seed, presorted):
+    # Past 16 rows np.unique's sort is no longer stable, so which of the rows
+    # equal up to the sign of zero it keeps depends on its partitioning.
+    pts = np.tile(np.array(few + many, dtype=float).reshape(-1, 2), (copies, 1))
+    np.random.default_rng(seed).shuffle(pts)
+    if presorted:
+        pts = np.unique(pts, axis=0)
+    got = geometry._sorted_unique(pts)
+    ref = np.unique(pts, axis=0)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()  # sign bits of zeros included
+
+
+def test_sorted_unique_sorts_a_cloud_without_np_unique(monkeypatch):
+    rng = np.random.default_rng(4)
+    pts = np.repeat(rng.integers(-3, 4, size=(300, 2)).astype(float), 2, axis=0)
+    rng.shuffle(pts)
+    ref = np.unique(pts, axis=0)
+    monkeypatch.setattr(np, "unique", lambda *a, **k: pytest.fail("np.unique called"))
+    assert geometry._sorted_unique(pts).tobytes() == ref.tobytes()
 
 
 def test_sorted_unique_skips_the_sort_of_a_sorted_cloud(monkeypatch):
@@ -527,3 +613,35 @@ def test_nearest_distances_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # measured: 8.3 MiB
+
+
+def _sweep_hull_and_grid():
+    """The largest hull of the sweep grid (Hardy Blaschke 0.5, 2,517 vertices)
+    and the 40,000 points of its coverage grid's bounding box."""
+    sample = closed_form.sample_range(kernels.HARDY, symbols.blaschke(0.5),
+                                      closed_form.PolarGrid.regular(2000, 8, 0.998))
+    hull = geometry.convex_hull(sample.points())
+    lo, hi = hull.min(axis=0), hull.max(axis=0)
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], 200), np.linspace(lo[1], hi[1], 200),
+                         indexing="ij")
+    return hull, np.column_stack([gx.ravel(), gy.ravel()])
+
+
+@pytest.mark.parametrize("step", ["diameter", "inside"])
+def test_diameter_and_inside_memory_is_bounded(step):
+    hull, grid = _sweep_hull_and_grid()
+    # Make both end edges vertical (the left one is within 5e-19 of it already).
+    k = int(np.argmax(hull[:, 0]))
+    hull = geometry.convex_hull(np.vstack([hull, [hull[0, 0], hull[-1, 1]], hull[k] - [0, 1e-3]]))
+    assert np.sum(np.roll(hull, -1, axis=0)[:, 0] == hull[:, 0]) == 2
+    assert (len(hull), len(grid)) == (2517, 40000)
+    tracemalloc.start()
+    try:
+        if step == "diameter":
+            geometry._diameter(hull)
+        else:
+            geometry._inside_hull(hull, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20  # measured: 1.0 MiB (diameter), 2.2 MiB (inside)

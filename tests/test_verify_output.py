@@ -4,11 +4,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from berezin import output, verify
 from berezin.closed_form import PolarGrid, sample_range
 from berezin.kernels import HARDY
-from berezin.symbols import elliptic
+from berezin.symbols import blaschke, elliptic
 
 # The two checks that measure identities in their published-but-too-strong
 # form; they are intended to stay red and the README documents why.
@@ -113,6 +115,60 @@ def test_write_svg_structure(tmp_path):
     assert "</svg>" in text
 
 
+def _reference_svg(points, title="Berezin range") -> str:
+    """The per-point writer write_svg replaced; its bytes are the contract."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    size = 800
+    half = 1.1
+    if xy.size:
+        half = max(half, 1.05 * float(np.max(np.abs(xy))))
+    scale = size / (2.0 * half)
+    cx = cy = size / 2.0
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f"<title>{title}</title>",
+        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<line x1="0" y1="{cy:.1f}" x2="{size}" y2="{cy:.1f}" '
+        'stroke="#999" stroke-width="1"/>',
+        f'<line x1="{cx:.1f}" y1="0" x2="{cx:.1f}" y2="{size}" '
+        'stroke="#999" stroke-width="1"/>',
+        f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{scale:.3f}" '
+        'fill="none" stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>',
+    ]
+    for x, y in zip((xy[:, 0] + half) * scale, (half - xy[:, 1]) * scale):
+        parts.append(f'<circle cx="{x:.3f}" cy="{y:.3f}" r="1.6" '
+                     'fill="#1f77b4" fill-opacity="0.55"/>')
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+_svg_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.1, -1.1, 1e300, -1e300]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 2.0, allow_nan=False),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(_svg_values, _svg_values), max_size=50))
+@example([])
+@example([(0.0, -0.0), (-0.0, 0.0), (1e-300, -5e-324)])
+def test_write_svg_matches_per_point_reference(tmp_path, points):
+    path = tmp_path / "p.svg"
+    pts = np.array(points, dtype=float).reshape(-1, 2)
+    output.write_svg(path, pts, title="t")
+    assert path.read_bytes() == _reference_svg(pts, title="t").encode("utf-8")
+
+
+def test_write_svg_matches_per_point_reference_on_a_range(tmp_path):
+    path = tmp_path / "p.svg"
+    pts = sample_range(HARDY, blaschke(0.3j), PolarGrid.regular()).points()
+    output.write_svg(path, pts)
+    assert path.read_bytes() == _reference_svg(pts).encode("utf-8")
+
+
 def test_svg_window_expands_for_large_values(tmp_path):
     path = tmp_path / "big.svg"
     output.write_svg(path, np.array([[3.0, 0.0]]))
@@ -141,6 +197,20 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
         os.umask(old)
     assert os.stat(path).st_mode & 0o777 == mode
     assert path.read_bytes() == b"payload\n"
+
+
+def test_atomic_write_of_pieces_failing_midway_leaves_the_old_file(tmp_path):
+    path = tmp_path / "x.txt"
+    output.atomic_write_text(path, "old\n")
+
+    def pieces():
+        yield "new "
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError):
+        output.atomic_write_text(path, pieces())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["x.txt"]
 
 
 def test_atomic_write_failure_cleans_up(tmp_path):
