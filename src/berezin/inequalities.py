@@ -577,6 +577,26 @@ class PropositionReport:
         return _unstacked(np.min(slacks, axis=0))
 
 
+def _proposition_inputs(phi: PositiveMap, A):
+    """A checked Hermitian, and the real diagonal of Phi(A)."""
+    A = _as_hermitian(A)
+    _require_unital(phi, A.shape[-1])
+    return A, np.real(_diagonal(phi.apply(A)))
+
+
+def _ber_sup_slack(g, phi: PositiveMap, A, diag):
+    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)), with diag from _proposition_inputs."""
+    ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
+    return _unstacked(ber - np.max(g(diag), axis=-1))
+
+
+def _p2_applies(f: ScalarFunction) -> bool:
+    # For such f, f(0) = f'(0) = 0 and f' is convex on [0, inf).
+    return bool(
+        f.differentiable and f.derivative is not None and f.superquadratic and f.nonnegative
+    )
+
+
 def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionReport:
     """Slacks of the ber-vs-sup propositions for one operator or a stack.
 
@@ -585,15 +605,11 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
     when f(0) = f'(0) = 0 and f' is convex; P3: same for convex f with
     f(0) = 0 (convex branch).
     """
-    A = _as_hermitian(A)
-    _require_unital(phi, A.shape[-1])
-    phi_A = phi.apply(A)
-    diag = np.real(_diagonal(phi_A))
+    A, diag = _proposition_inputs(phi, A)
     rejected: dict = {}
 
     def slack(g):
-        ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
-        return _unstacked(ber - np.max(g(diag), axis=-1))
+        return _ber_sup_slack(g, phi, A, diag)
 
     p1 = None
     if f.superquadratic and f.nonnegative:
@@ -602,8 +618,7 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
         rejected["p1"] = f"{f.name} is not nonnegative superquadratic"
 
     p2 = None
-    if f.differentiable and f.derivative is not None and f.superquadratic and f.nonnegative:
-        # For such f, f(0) = f'(0) = 0 and f' is convex on [0, inf).
+    if _p2_applies(f):
         p2 = slack(f.derivative)
     else:
         rejected["p2"] = f"{f.name} lacks a convex derivative with f(0)=f'(0)=0"
@@ -818,10 +833,10 @@ def run_trials(
                 slacks["eq5"][ix] = intermediate_refinement_check(f, phi, A, g["eq5"], mu)
             if "eq16" in checks:
                 slacks["eq16"][ix] = corollary_c1_check(f, phi, A, mu)
-            if "eq21" in checks:
-                p2 = proposition_checks(f, phi, A).p2_slack
-                if p2 is not None:
-                    slacks["eq21"][ix] = p2
+            if "eq21" in checks and _p2_applies(f):
+                # P2 of proposition_checks alone: P1 and P3 are not recorded here
+                herm, diag = _proposition_inputs(phi, A)
+                slacks["eq21"][ix] = _ber_sup_slack(f.derivative, phi, herm, diag)
             if "mapping" in checks:
                 mp = berezin_mapping_check(f, phi, A)
                 cond18_pass += int(np.count_nonzero(mp.identity_checked))

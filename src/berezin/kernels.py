@@ -21,6 +21,7 @@ __all__ = [
     "kernel_norm_sq",
     "normalized_kernel_coeffs",
     "normalized_kernel_matrix",
+    "disk_points",
 ]
 
 _L2_POINTWISE_ERROR = (
@@ -130,6 +131,20 @@ def normalized_kernel_coeffs(space: SpaceSpec, w, truncation: int) -> np.ndarray
     return normalized_kernel_matrix(space, np.array([_as_z(w)]), truncation)[:, 0]
 
 
+def disk_points(ws) -> np.ndarray:
+    """``ws`` as a 1-D complex array, checked to lie in the open unit disk.
+
+    A NaN or infinite point is rejected by name: ``|w| >= 1`` is False for
+    NaN, so the disk test alone would let it through.
+    """
+    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
+    if not np.all(np.isfinite(ws)):
+        raise ValueError("kernel coefficients require finite points, got NaN or inf")
+    if np.any(np.abs(ws) >= 1.0):
+        raise ValueError("kernel coefficients require |w| < 1")
+    return ws
+
+
 def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarray:
     """Vectorized form: one normalized-coefficient column per point in ws."""
     if space.kind == "l2":
@@ -141,10 +156,8 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
         raise ValueError(
             f"model({space.n}) coefficients require truncation == n, got {N}"
         )
-    ws = np.atleast_1d(np.asarray(ws, dtype=complex))
+    ws = disk_points(ws)
     s = np.abs(ws) ** 2
-    if np.any(s >= 1.0):
-        raise ValueError("kernel coefficients require |w| < 1")
     # row k holds conj(w)^k: a running product down the columns
     powers = np.empty((N, ws.size), dtype=complex)
     powers[0] = 1.0

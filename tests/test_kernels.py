@@ -101,3 +101,18 @@ def test_model_space_validation():
         kernels.model_space(0)
     assert kernels.model_space(3).n == 3
     assert "model" in kernels.model_space(3).label
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(np.nan, "finite"), (complex(np.nan, np.nan), "finite"), (np.inf, "finite"),
+     (complex(np.inf, 0.5), "finite"), (1.0, r"\|w\| < 1"), (-2j, r"\|w\| < 1")],
+)
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(3)],
+                         ids=lambda s: s.label)
+def test_points_off_the_open_disk_are_rejected(space, bad, reason):
+    N = space.n or 8
+    with pytest.raises(ValueError, match=reason):
+        kernels.normalized_kernel_matrix(space, np.array([0.2, bad]), N)
+    with pytest.raises(ValueError, match=reason):
+        kernels.normalized_kernel_coeffs(space, bad, N)

@@ -246,26 +246,45 @@ def test_kernel_matrix_equals_direct_powers(space):
         )
 
 
+# Points where berezin_grid's row rule is at its ends: w = 0 (every tail is
+# 0), a modulus whose log is far from 0, and moduli whose tails need every row.
+_EDGE_POINTS = np.array(
+    [0.0, 1e-200, -1e-200j, 0.999, 0.999j * np.exp(0.3j), -0.999, 0.5 - 0.5j], dtype=complex
+)
+
+
 @pytest.mark.parametrize("count", ["empty", "one", "chunk", "chunk+1"])
-def test_berezin_grid_equals_whole_matrix(count):
+@pytest.mark.parametrize(
+    "symb",
+    _REFERENCE_SYMBOLS + [symbols.blaschke(0.3 + 0.4j), symbols.automorphism(2.6, 2.4)],
+    ids=lambda s: s.label,
+)
+def test_berezin_grid_equals_whole_matrix(symb, count):
     N = 64
     size = {"empty": 0, "one": 1, "chunk": _chunk_points(N), "chunk+1": _chunk_points(N) + 1}
     rng = np.random.default_rng(5)
     n = size[count]
     ws = rng.uniform(0, 0.99, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    ws[:len(_EDGE_POINTS)] = _EDGE_POINTS[:n]
     for space in (kernels.HARDY, kernels.BERGMAN):
-        op = oracle.composition_matrix(space, symbols.blaschke(0.3 + 0.4j), N)
+        op = oracle.composition_matrix(space, symb, N)
         got = oracle.berezin_grid(op, space, ws)
         assert got.shape == (n,)
         np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
 
 
-def test_berezin_grid_keeps_mesh_shape_across_chunks():
+@pytest.mark.parametrize("N, chunk_points", [(512, None), (129, 5)])
+def test_berezin_grid_keeps_mesh_shape_across_chunks(monkeypatch, N, chunk_points):
+    # With chunks of 5 points at M = N, every group of equal M spans several
+    # chunks and ends inside one; each group's points are spread over the mesh.
+    if chunk_points is not None:
+        monkeypatch.setattr(oracle, "_CHUNK_BYTES", 16 * N * chunk_points)
     grid = cf.PolarGrid.regular(60, 80, 0.99)
-    N = 512
     assert grid.mesh().size > 2 * _chunk_points(N)
     for space in (kernels.HARDY, kernels.BERGMAN):
         op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), N)
+        rows = oracle._kernel_rows(op, space, grid.mesh().ravel())
+        assert np.unique(rows).size > 3 and rows.max() == N
         got = oracle.berezin_grid(op, space, grid.mesh())
         assert got.shape == grid.mesh().shape == (60, 80)
         np.testing.assert_allclose(
@@ -337,3 +356,58 @@ def test_oracle_agrees_with_closed_form_inside_tail_bound(symb, N, points):
         np.testing.assert_allclose(
             oracle.berezin_grid(op, space, inside), closed(symb, inside), rtol=0, atol=1e-8
         )
+
+
+@pytest.mark.parametrize("N", [1, 40, 256, 1024])
+@pytest.mark.parametrize(
+    "symb", [symbols.blaschke(0.5), symbols.automorphism(2.6, 2.4)], ids=lambda s: s.label
+)
+def test_kernel_rows_meet_the_tail_budget_and_are_minimal(symb, N):
+    rng = np.random.default_rng(23)
+    ws = np.concatenate([
+        _EDGE_POINTS,
+        rng.uniform(0, 1, 400) ** 0.25 * 0.9999 * np.exp(2j * np.pi * rng.uniform(size=400)),
+    ])
+    step = oracle._ROW_STEP
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symb, N)
+        scale = 2 * np.linalg.norm(op.entries)
+        rows = oracle._kernel_rows(op, space, ws)
+        assert rows.dtype.kind == "i" and rows.shape == ws.shape
+        assert np.all((rows == N) | (rows % step == 0))
+        assert np.all((rows >= min(step, N)) & (rows <= N))
+        fits = scale * _tail_norm(space, ws, rows) <= oracle._TAIL_BUDGET
+        assert np.all(fits | (rows == N))
+        smaller = (-(-rows // step) - 1) * step  # the candidate before M
+        lower = smaller >= step
+        assert np.all(scale * _tail_norm(space, ws[lower], smaller[lower]) > oracle._TAIL_BUDGET)
+        assert rows[0] == min(step, N)  # w = 0
+    # both ends of the rule are reached
+    op = oracle.composition_matrix(kernels.HARDY, symb, N)
+    rows = oracle._kernel_rows(op, kernels.HARDY, _EDGE_POINTS)
+    assert rows[3] == N and rows[1] == min(step, N)
+
+
+def test_berezin_grid_of_a_matrix_whose_norm_overflows():
+    # ||C||_F is inf here, so every point keeps all N = 4 rows (w = 0 through
+    # the NaN of -inf / -inf), with no floating-point warning on the way.
+    op = oracle.OperatorMatrix(np.full((4, 4), 1e155), "hardy-monomial", 4)
+    ws = np.array([0.0, 0.5, 1e-200j])
+    np.testing.assert_array_equal(oracle._kernel_rows(op, kernels.HARDY, ws), [4, 4, 4])
+    np.testing.assert_allclose(
+        oracle.berezin_grid(op, kernels.HARDY, ws),
+        reference_berezin_grid(op, kernels.HARDY, ws), rtol=1e-15,
+    )
+
+
+@pytest.mark.parametrize(
+    "bad, reason",
+    [(np.nan, "finite"), (complex(np.nan, np.nan), "finite"), (np.inf, "finite"),
+     (complex(0, -np.inf), "finite"), (1.5j, r"\|w\| < 1")],
+)
+def test_berezin_grid_rejects_points_off_the_open_disk(bad, reason):
+    # rejected before the row rule takes log|w|, so with no warning either
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symbols.blaschke(0.5), 32)
+        with pytest.raises(ValueError, match=reason):
+            oracle.berezin_grid(op, space, np.array([0.1, bad, 0.2]))
