@@ -28,7 +28,6 @@ from .geometry import (
     default_tolerance,
     hausdorff_distance,
     hull_signed_depth,
-    polygon_area,
 )
 from .inequalities import (
     MappingReport,
@@ -49,12 +48,8 @@ from .inequalities import (
 from .kernels import (
     BERGMAN,
     HARDY,
-    L2,
     SpaceSpec,
-    kernel_eval,
-    kernel_norm_sq,
     model_space,
-    normalized_kernel_coeffs,
     normalized_kernel_matrix,
 )
 from .matrix_oracle import (
@@ -83,9 +78,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # kernels
-    "SpaceSpec", "HARDY", "BERGMAN", "L2", "model_space",
-    "kernel_eval", "kernel_norm_sq",
-    "normalized_kernel_coeffs", "normalized_kernel_matrix",
+    "SpaceSpec", "HARDY", "BERGMAN", "model_space", "normalized_kernel_matrix",
     # symbols
     "SymbolError", "SymbolSpec", "elliptic", "automorphism", "blaschke",
     "apply", "symbol_series", "taylor_coeffs",
@@ -95,7 +88,7 @@ __all__ = [
     "conjugation_partner", "boundary_limit", "sample_range",
     "model_transform",
     # geometry
-    "ShapeClass", "ConvexityReport", "convex_hull", "polygon_area",
+    "ShapeClass", "ConvexityReport", "convex_hull",
     "classify_shape", "convexity_report", "hausdorff_distance",
     "hull_signed_depth", "default_tolerance",
     # matrix oracle

@@ -25,18 +25,6 @@ __all__ = ["main", "parse_complex", "RunConfig"]
 
 _SPACES = {"hardy": kernels.HARDY, "bergman": kernels.BERGMAN}
 
-# Hypotheses each harness check needs; consulted both to build the default
-# check set for a function and to reject an explicit incompatible request.
-_CHECK_REQUIRES = {
-    "eq1": ("superquadratic",),
-    "eq2": ("convex",),
-    "eq4": ("superquadratic",),
-    "eq5": ("superquadratic",),
-    "eq16": ("superquadratic",),
-    "eq21": ("superquadratic", "nonnegative", "differentiable"),
-    "mapping": (),
-}
-
 
 def parse_complex(text: str) -> complex:
     """Parse 'a+bi', 'a-bi', 'bi', 'a' (plus bare 'i'/'-i'), any whitespace."""
@@ -87,23 +75,26 @@ class RunConfig:
     def grid(self) -> cf.PolarGrid:
         return cf.PolarGrid.regular(self.r_steps, self.theta_steps, self.r_max)
 
+    def grid_payload(self) -> dict:
+        """The "grid" entry of a range or sweep report."""
+        return {"r_steps": self.r_steps, "theta_steps": self.theta_steps, "r_max": self.r_max}
 
-def _build_symbol(args) -> symbols.SymbolSpec:
-    kind = args.symbol
+
+def _build_symbol(kind: str, alpha=None, a=None, b=None) -> symbols.SymbolSpec:
+    """The symbol of one kind from its complex literals; only the literals
+    that the kind uses are parsed."""
     if kind == "elliptic":
-        if args.alpha is None:
+        if alpha is None:
             raise symbols.SymbolError("elliptic symbol needs --alpha")
-        return symbols.elliptic(parse_complex(args.alpha))
+        return symbols.elliptic(parse_complex(alpha))
     if kind == "blaschke":
-        if args.alpha is None:
+        if alpha is None:
             raise symbols.SymbolError("blaschke symbol needs --alpha")
-        return symbols.blaschke(parse_complex(args.alpha))
+        return symbols.blaschke(parse_complex(alpha))
     if kind == "automorphism":
-        if args.a is None:
+        if a is None:
             raise symbols.SymbolError("automorphism symbol needs --a (and optional --b)")
-        a = parse_complex(args.a)
-        b = parse_complex(args.b) if args.b is not None else 0.0
-        return symbols.automorphism(a, b)
+        return symbols.automorphism(parse_complex(a), parse_complex(b) if b is not None else 0.0)
     raise symbols.SymbolError(f"unknown symbol kind {kind!r}")
 
 
@@ -124,7 +115,7 @@ def cmd_range(args) -> int:
         tolerance=args.tol,
     )
     space = _SPACES[args.space]
-    symbol = _build_symbol(args)
+    symbol = _build_symbol(args.symbol, args.alpha, args.a, args.b)
     sample = cf.sample_range(space, symbol, config.grid())
     cloud = sample.points()
     report = geometry.convexity_report(geometry._sorted_unique(cloud), tol=config.tolerance)
@@ -136,11 +127,7 @@ def cmd_range(args) -> int:
     payload = {
         "space": args.space,
         "symbol": symbol.label,
-        "grid": {
-            "r_steps": config.r_steps,
-            "theta_steps": config.theta_steps,
-            "r_max": config.r_max,
-        },
+        "grid": config.grid_payload(),
         "berezin_number": sample.berezin_number(),
         "report": report.to_json_dict(),
     }
@@ -162,20 +149,16 @@ def cmd_sweep(args) -> int:
         r_max=args.r_max,
         tolerance=args.tol,
     )
+    tokens = [token.strip() for token in args.alphas.split(",") if token.strip()]
+    if not tokens:
+        raise ValueError(f"--alphas names no parameter value: {args.alphas!r}")
     space = _SPACES[args.space]
     grid = config.grid()
     entries = []
-    for token in args.alphas.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        value = parse_complex(token)
-        if args.symbol == "elliptic":
-            symbol = symbols.elliptic(value)
-        elif args.symbol == "blaschke":
-            symbol = symbols.blaschke(value)
-        else:
-            symbol = symbols.automorphism(value, 0.0)
+    for token in tokens:
+        # for automorphism the token is a, with b = 0
+        symbol = _build_symbol(args.symbol, alpha=token, a=token)
+        value = symbol.a if symbol.kind == "automorphism" else symbol.alpha
         sample = cf.sample_range(space, symbol, grid)
         report = geometry.convexity_report(
             geometry._sorted_unique(sample.points()), tol=config.tolerance
@@ -193,11 +176,7 @@ def cmd_sweep(args) -> int:
     payload = {
         "space": args.space,
         "symbol": args.symbol,
-        "grid": {
-            "r_steps": config.r_steps,
-            "theta_steps": config.theta_steps,
-            "r_max": config.r_max,
-        },
+        "grid": config.grid_payload(),
         "entries": entries,
     }
     json_path = args.json or f"sweep_{args.space}_{args.symbol}.json"
@@ -247,7 +226,7 @@ def cmd_verify(args) -> int:
 def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
     if requested:
         for name in requested:
-            missing = [h for h in _CHECK_REQUIRES[name] if not getattr(f, h)]
+            missing = [h for h in ineq.CHECK_REQUIRES[name] if not getattr(f, h)]
             if missing:
                 raise ValueError(
                     f"check {name!r} requires a {' '.join(missing)} function; "
@@ -257,7 +236,7 @@ def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
     return tuple(
         name
         for name in ineq.TRIAL_CHECKS
-        if all(getattr(f, h) for h in _CHECK_REQUIRES[name])
+        if all(getattr(f, h) for h in ineq.CHECK_REQUIRES[name])
     )
 
 

@@ -48,22 +48,9 @@ class DiskPoint:
             raise ValueError(f"disk point requires 0 <= r < 1, got r={self.r}")
         object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
 
-    @classmethod
-    def from_complex(cls, z) -> "DiskPoint":
-        z = complex(z)
-        return cls(abs(z), math.atan2(z.imag, z.real))
-
     @property
     def z(self) -> complex:
         return self.r * complex(math.cos(self.theta), math.sin(self.theta))
-
-    @property
-    def re(self) -> float:
-        return self.z.real
-
-    @property
-    def im(self) -> float:
-        return self.z.imag
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,7 +217,7 @@ def sample_range(space: SpaceSpec, symbol: sym.SymbolSpec, grid: PolarGrid) -> R
     """Evaluate the closed-form transform at every grid point.
 
     Only the Hardy and Bergman tags have composition closed forms here; the
-    model and l2 spaces are handled by the matrix-oracle module.
+    model spaces are handled by the matrix-oracle module.
     """
     if space.kind == "hardy":
         values = hardy_transform(symbol, grid.mesh())

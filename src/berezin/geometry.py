@@ -25,7 +25,6 @@ __all__ = [
     "ShapeClass",
     "ConvexityReport",
     "convex_hull",
-    "polygon_area",
     "classify_shape",
     "convexity_report",
     "hausdorff_distance",
@@ -36,9 +35,13 @@ __all__ = [
 # Orientation tests treat cross products below this as collinear.
 _CROSS_EPS = 1e-12
 
-# Verdict thresholds for the REGION2D coverage test.
+# Verdict thresholds for the REGION2D coverage test, and the points per axis
+# of its grid.
 _COVERAGE_CONVEX = 0.99
 _COVERAGE_NOT_CONVEX = 0.90
+_COVERAGE_STEPS = 200
+# Probe points of the SEGMENT coverage ratio.
+_SEGMENT_PROBES = 512
 
 # A SEGMENT is convex when no projection gap exceeds this many tolerances.
 _GAP_FACTOR = 10.0
@@ -189,15 +192,6 @@ def convex_hull(points) -> np.ndarray:
     return pts[hull_idx]
 
 
-def polygon_area(vertices) -> float:
-    """Shoelace area of a counterclockwise polygon (0 for <3 vertices)."""
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        return 0.0
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
 def default_tolerance(points) -> float:
     """Default classification tolerance: 1e-3 of the sample diameter."""
     diam, _ = _diameter(convex_hull(points))
@@ -307,7 +301,6 @@ class ShapeClass:
     tag: str
     endpoints: np.ndarray | None = None  # SEGMENT: (2, 2); POINT: (1, 2)
     hull: np.ndarray | None = None  # REGION2D
-    area: float = 0.0
 
 
 def classify_shape(points, tol: float | None = None) -> ShapeClass:
@@ -315,7 +308,7 @@ def classify_shape(points, tol: float | None = None) -> ShapeClass:
 
     POINT if the diameter is <= tol; SEGMENT if every point lies within tol
     of the segment joining the maximal-distance pair; REGION2D otherwise
-    (with hull vertices and hull area attached).
+    (with the hull vertices attached).
     """
     pts = _as_points(points)
     hull = convex_hull(pts)
@@ -331,7 +324,7 @@ def _classify(pts, hull, diameter, tol: float) -> ShapeClass:
         return ShapeClass("POINT", endpoints=center)
     if np.max(_segment_distances(pts, p0, p1)) <= tol:
         return ShapeClass("SEGMENT", endpoints=np.vstack([p0, p1]))
-    return ShapeClass("REGION2D", hull=hull, area=polygon_area(hull))
+    return ShapeClass("REGION2D", hull=hull)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -342,7 +335,6 @@ class ConvexityReport:
     max_gap: float
     tolerance: float
     sample_count: int
-    exact_finite_mode: bool = False
 
     def to_json_dict(self) -> dict:
         hull = self.shape.hull
@@ -658,9 +650,9 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_coverage(pts, p0, p1, tol, steps=512):
+def _segment_coverage(pts, p0, p1, tol):
     """1-D analog of the region coverage test: probe points along the segment."""
-    t = np.linspace(0.0, 1.0, steps)
+    t = np.linspace(0.0, 1.0, _SEGMENT_PROBES)
     probes = p0 + t[:, None] * (p1 - p0)
     return float(np.mean(_nearest_distances(pts, probes) <= tol))
 
@@ -669,7 +661,6 @@ def convexity_report(
     points,
     tol: float | None = None,
     exact_finite: bool = False,
-    grid_steps: int = 200,
 ) -> ConvexityReport:
     """Issue a convexity verdict for a sampled planar set.
 
@@ -684,9 +675,9 @@ def convexity_report(
         finite matrix read off the diagonal).  A finite set with two or more
         distinct points is never convex; the verdict is CONVEX iff all points
         are exactly equal.
-    grid_steps : int
-        Resolution per axis of the coverage grid for REGION2D inputs
-        (at least 200).
+
+    A REGION2D input is tested on a ``_COVERAGE_STEPS`` x ``_COVERAGE_STEPS``
+    grid over the hull's bounding box.
     """
     pts = _as_points(points)
     n_samples = len(pts)
@@ -698,12 +689,12 @@ def convexity_report(
     if exact_finite:
         if len(hull) == 1:
             shape = ShapeClass("POINT", endpoints=hull)
-            return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples, True)
+            return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples)
         shape = _classify(pts, hull, diameter, tol)
         if shape.tag == "POINT":
             # Distinct values closer than tol: still a finite non-convex set.
             shape = ShapeClass("SEGMENT", endpoints=np.vstack(diameter[1]))
-        return ConvexityReport(shape, "NOT_CONVEX", 0.0, 0.0, tol, n_samples, True)
+        return ConvexityReport(shape, "NOT_CONVEX", 0.0, 0.0, tol, n_samples)
 
     shape = _classify(pts, hull, diameter, tol)
     if shape.tag == "POINT":
@@ -718,7 +709,7 @@ def convexity_report(
         coverage = _segment_coverage(pts, p0, p1, tol)
         return ConvexityReport(shape, verdict, coverage, max_gap, tol, n_samples)
 
-    grid = _hull_interior_grid(hull, max(int(grid_steps), 200))
+    grid = _hull_interior_grid(hull, _COVERAGE_STEPS)
     dist = _nearest_distances(pts, grid)
     coverage = float(np.mean(dist <= tol))
     max_gap = float(np.max(dist))

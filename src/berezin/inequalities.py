@@ -38,15 +38,14 @@ __all__ = [
     "popoviciu_operator_check",
     "intermediate_refinement_check",
     "corollary_c1_check",
-    "corollary_c1_sup",
     "berezin_mapping_check",
-    "berezin_number",
     "proposition_checks",
     "random_psd",
     "random_isometry",
     "run_trials",
     "parse_function",
     "TRIAL_CHECKS",
+    "CHECK_REQUIRES",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -79,6 +78,10 @@ class ScalarFunction:
     nonnegative: bool = False
     convex: bool = False
     differentiable: bool = False
+
+    def __post_init__(self) -> None:
+        if self.differentiable and self.derivative is None:
+            raise ValueError(f"{self.name} is marked differentiable but has no derivative")
 
     def __call__(self, t):
         out = self.fn(np.asarray(t, dtype=float))
@@ -131,26 +134,6 @@ class ScalarFunction:
             nonnegative=False,
             convex=True,
             differentiable=True,
-        )
-
-    @classmethod
-    def from_table(cls, table, name: str = "custom") -> "ScalarFunction":
-        """Piecewise-linear interpolant of (t, f(t)) pairs.
-
-        Convexity is inferred from the slopes; no superquadraticity is
-        claimed for table functions.
-        """
-        pts = np.asarray(table, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 2:
-            raise ValueError("table must be an (n, 2) array with n >= 2")
-        order = np.argsort(pts[:, 0])
-        xs, ys = pts[order, 0], pts[order, 1]
-        slopes = np.diff(ys) / np.diff(xs)
-        return cls(
-            name=name,
-            fn=lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),
-            convex=bool(np.all(np.diff(slopes) >= -1e-12)),
-            nonnegative=bool(np.all(ys >= 0)),
         )
 
 
@@ -300,7 +283,6 @@ class PositiveMap:
     """
 
     kind: str
-    partition: tuple[tuple[int, ...], ...] | None = None
     V: np.ndarray | None = None  # (d, m) or (k, d, m) isometry columns, m <= d
 
     @classmethod
@@ -308,15 +290,9 @@ class PositiveMap:
         return cls("identity")
 
     @classmethod
-    def pinching(cls, partition: Sequence[Sequence[int]] | None = None) -> "PositiveMap":
-        """Block-diagonal truncation along a partition (singletons if None)."""
-        if partition is None:
-            return cls("pinching")
-        blocks = tuple(tuple(int(i) for i in block) for block in partition)
-        flat = [i for block in blocks for i in block]
-        if len(flat) != len(set(flat)):
-            raise ValueError("partition blocks must be disjoint")
-        return cls("pinching", partition=blocks)
+    def pinching(cls) -> "PositiveMap":
+        """A |-> the diagonal part of A (the pinching along singletons)."""
+        return cls("pinching")
 
     @classmethod
     def compression(cls, V) -> "PositiveMap":
@@ -331,10 +307,6 @@ class PositiveMap:
             )
         return cls("compression", V=V)
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
     def output_dim(self, d: int) -> int:
         return self.V.shape[-1] if self.kind == "compression" else d
 
@@ -344,20 +316,7 @@ class PositiveMap:
         if self.kind == "identity":
             return A.copy()
         if self.kind == "pinching":
-            if self.partition is None:
-                return _diagonal_part(A)
-            out = np.zeros_like(A)
-            covered = []
-            for block in self.partition:
-                ix = np.asarray(block)
-                if np.any(ix >= d):
-                    raise ValueError("dimension mismatch: partition index out of range")
-                rows, cols = np.ix_(ix, ix)
-                out[..., rows, cols] = A[..., rows, cols]
-                covered.extend(block)
-            if sorted(covered) != list(range(d)):
-                raise ValueError("dimension mismatch: partition must cover all indices")
-            return out
+            return _diagonal_part(A)
         if self.V.shape[-2] != d:
             raise ValueError(
                 f"dimension mismatch: map expects dimension {self.V.shape[-2]}, got {d}"
@@ -385,14 +344,6 @@ def berezin_at(A, mu):
             f"dimension {d}{_stack_note(bad)}"
         )
     return _unstacked(np.take_along_axis(diag, mu[..., None], axis=-1)[..., 0].real)
-
-
-def berezin_number(op) -> float:
-    """sup |Berezin transform|: max |diagonal| for matrices, max |value| for samples."""
-    if hasattr(op, "berezin_number"):
-        return float(op.berezin_number())
-    entries = getattr(op, "entries", op)
-    return float(np.max(np.abs(np.diag(np.asarray(entries)))))
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +441,6 @@ def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
     return _unstacked(-f(0.0) - rhs)
 
 
-def corollary_c1_sup(f: ScalarFunction, phi: PositiveMap, A):
-    """Supremum form: -f(0) - max_mu RHS(mu), over every kernel index."""
-    A = _as_hermitian(A)
-    _require_unital(phi, A.shape[-1])
-    d_out = phi.output_dim(A.shape[-1])
-    slacks = [corollary_c1_check(f, phi, A, mu) for mu in range(d_out)]
-    return _unstacked(np.min(slacks, axis=0))
-
-
 # ---------------------------------------------------------------------------
 # mapping identity and propositions
 # ---------------------------------------------------------------------------
@@ -590,11 +532,9 @@ def _ber_sup_slack(g, phi: PositiveMap, A, diag):
     return _unstacked(ber - np.max(g(diag), axis=-1))
 
 
-def _p2_applies(f: ScalarFunction) -> bool:
-    # For such f, f(0) = f'(0) = 0 and f' is convex on [0, inf).
-    return bool(
-        f.differentiable and f.derivative is not None and f.superquadratic and f.nonnegative
-    )
+def _meets(f: ScalarFunction, check: str) -> bool:
+    """Whether f has every flag that ``CHECK_REQUIRES[check]`` names."""
+    return all(getattr(f, flag) for flag in CHECK_REQUIRES[check])
 
 
 def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionReport:
@@ -606,27 +546,24 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
     f(0) = 0 (convex branch).
     """
     A, diag = _proposition_inputs(phi, A)
-    rejected: dict = {}
 
     def slack(g):
         return _ber_sup_slack(g, phi, A, diag)
 
-    p1 = None
-    if f.superquadratic and f.nonnegative:
-        p1 = slack(f)
-    else:
+    p1_applies = f.superquadratic and f.nonnegative
+    p3_applies = f.convex and abs(f(0.0)) <= 1e-15
+    # P1 and P3 bound the same slack under different hypotheses.
+    shared = slack(f) if p1_applies or p3_applies else None
+    p1 = shared if p1_applies else None
+    p2 = slack(f.derivative) if _meets(f, "eq21") else None
+    p3 = shared if p3_applies else None
+
+    rejected: dict = {}
+    if p1 is None:
         rejected["p1"] = f"{f.name} is not nonnegative superquadratic"
-
-    p2 = None
-    if _p2_applies(f):
-        p2 = slack(f.derivative)
-    else:
+    if p2 is None:
         rejected["p2"] = f"{f.name} lacks a convex derivative with f(0)=f'(0)=0"
-
-    p3 = None
-    if f.convex and abs(f(0.0)) <= 1e-15:
-        p3 = slack(f)
-    else:
+    if p3 is None:
         rejected["p3"] = f"{f.name} is not convex with f(0)=0"
 
     return PropositionReport(p1, p2, p3, rejected)
@@ -649,11 +586,11 @@ def _gaussians(rng, d: int) -> np.ndarray:
     return G
 
 
-def random_psd(rng, dim: int, scale_max: float = 10.0) -> np.ndarray:
-    """Seeded random PSD matrix with spectrum scaled into [0, scale_max].
+def random_psd(rng, dim: int) -> np.ndarray:
+    """Seeded random PSD matrix with spectrum scaled into [0, 10].
 
     G G* + 1e-6 I for a complex Gaussian G keeps the matrix comfortably
-    positive; the rescaling pins the top eigenvalue at scale_max so every
+    positive; the rescaling pins the top eigenvalue at 10 so every
     trial exercises the full catalog domain.  ``rng`` is a Generator, or
     the Gaussians G themselves: a (k, dim, dim) stack of them gives the
     (k, dim, dim) stack of matrices, each bit for bit as if drawn alone.
@@ -661,7 +598,7 @@ def random_psd(rng, dim: int, scale_max: float = 10.0) -> np.ndarray:
     G = _gaussians(rng, dim)
     A = G @ _adjoint(G) + 1e-6 * np.eye(dim)
     top = np.linalg.eigvalsh(A)[..., -1]
-    return A * (scale_max / top)[..., None, None]
+    return A * (10.0 / top)[..., None, None]
 
 
 def random_isometry(rng, d: int, m: int) -> np.ndarray:
@@ -676,6 +613,20 @@ def random_isometry(rng, d: int, m: int) -> np.ndarray:
 _MAP_KINDS = ("identity", "pinching", "compression")
 
 TRIAL_CHECKS = ("eq1", "eq2", "eq4", "eq5", "eq16", "eq21", "mapping")
+
+# The ScalarFunction flags each check's hypotheses need: the CLI builds a
+# function's default checks from them and rejects an incompatible request,
+# and eq21 (P2 of proposition_checks) runs only where its flags hold.  The
+# eq21 flags give f(0) = f'(0) = 0 and a convex f' on [0, inf).
+CHECK_REQUIRES = {
+    "eq1": ("superquadratic",),
+    "eq2": ("convex",),
+    "eq4": ("superquadratic",),
+    "eq5": ("superquadratic",),
+    "eq16": ("superquadratic",),
+    "eq21": ("superquadratic", "nonnegative", "differentiable"),
+    "mapping": (),
+}
 
 # Trials of one dimension are evaluated in stacks of (k, d, d) complex
 # matrices of at most this many bytes (32 trials at d = 8).  A check keeps a
@@ -833,7 +784,7 @@ def run_trials(
                 slacks["eq5"][ix] = intermediate_refinement_check(f, phi, A, g["eq5"], mu)
             if "eq16" in checks:
                 slacks["eq16"][ix] = corollary_c1_check(f, phi, A, mu)
-            if "eq21" in checks and _p2_applies(f):
+            if "eq21" in checks and _meets(f, "eq21"):
                 # P2 of proposition_checks alone: P1 and P3 are not recorded here
                 herm, diag = _proposition_inputs(phi, A)
                 slacks["eq21"][ix] = _ber_sup_slack(f.derivative, phi, herm, diag)

@@ -43,26 +43,13 @@ _TAIL_BUDGET = 2.0**-60
 # are kept is then normal, so its GEMMs never meet subnormal operands.
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
 
-_BASIS_FOR_SPACE = {
-    "hardy": "hardy-monomial",
-    "bergman": "bergman-monomial",
-    "l2": "l2-standard",
-}
-
-
-def _basis_label(space: SpaceSpec) -> str:
-    if space.kind == "model":
-        return f"model({space.n})"
-    return _BASIS_FOR_SPACE[space.kind]
-
 
 @dataclasses.dataclass(frozen=True)
 class OperatorMatrix:
-    """A truncated operator matrix together with its basis label."""
+    """A truncated operator matrix in the orthonormal basis of ``space``."""
 
     entries: np.ndarray
-    basis: str
-    truncation: int
+    space: SpaceSpec
 
     def __post_init__(self) -> None:
         m = np.asarray(self.entries, dtype=complex)
@@ -70,9 +57,11 @@ class OperatorMatrix:
             raise ValueError("operator matrix must be square")
         if not np.all(np.isfinite(m)):
             raise ValueError("operator matrix entries must be finite")
-        if m.shape[0] != self.truncation:
-            raise ValueError("truncation must match the matrix dimension")
         object.__setattr__(self, "entries", m)
+
+    @property
+    def truncation(self) -> int:
+        return self.entries.shape[0]
 
 
 def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> OperatorMatrix:
@@ -113,7 +102,7 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     if space.kind == "bergman":
         w = np.sqrt(np.arange(1, N + 1, dtype=float))
         cols = cols * (w[None, :] / w[:, None])
-    return OperatorMatrix(cols, _basis_label(space), N)
+    return OperatorMatrix(cols, space)
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -124,9 +113,9 @@ def _flush_tiny(a: np.ndarray) -> np.ndarray:
 
 
 def _check_basis(op: OperatorMatrix, space: SpaceSpec) -> None:
-    if op.basis != _basis_label(space):
+    if op.space != space:
         raise ValueError(
-            f"basis mismatch: matrix is in {op.basis!r}, "
+            f"basis mismatch: matrix is in the {op.space.label!r} basis, "
             f"kernel coefficients requested for {space.label!r}"
         )
 
@@ -166,7 +155,7 @@ def _kernel_rows(op: OperatorMatrix, space: SpaceSpec, ws: np.ndarray) -> np.nda
 
 
 def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
-    """Berezin values v* C v, v = normalized_kernel_coeffs(space, w, N), per w.
+    """Berezin values v* C v, v = normalized_kernel_matrix(space, [w], N), per w.
 
     The result has the shape of ``ws``.  Values converge to the closed form
     as N grows: the error is at most (2 tau + tau^2) ||C_phi|| for the kernel
@@ -227,7 +216,7 @@ def model_operator_matrix(n: int) -> OperatorMatrix:
     n = int(n)
     if n < 1:
         raise ValueError("model dimension must be >= 1")
-    return OperatorMatrix(np.eye(n, k=-1, dtype=complex), f"model({n})", n)
+    return OperatorMatrix(np.eye(n, k=-1, dtype=complex), model_space(n))
 
 
 def model_berezin_range(n: int, grid: PolarGrid) -> RangeSample:
@@ -236,8 +225,8 @@ def model_berezin_range(n: int, grid: PolarGrid) -> RangeSample:
     The sampled sup modulus approaches (n-1)/n from below as r_max -> 1.
     """
     op = model_operator_matrix(n)
-    values = berezin_grid(op, model_space(n), grid.mesh())
-    return RangeSample(model_space(n), None, grid, values)
+    values = berezin_grid(op, op.space, grid.mesh())
+    return RangeSample(op.space, None, grid, values)
 
 
 def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:

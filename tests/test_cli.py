@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -234,6 +235,14 @@ class TestSweep:
         assert not proc.stdout
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("alphas", [",", "", " , ,"])
+    def test_empty_parameter_list_exits_2(self, tmp_path, alphas):
+        proc = run_cli(["sweep", "--space", "hardy", f"--alphas={alphas}"], tmp_path)
+        assert proc.returncode == 2
+        assert "--alphas names no parameter value" in proc.stderr
+        assert not proc.stdout
+        assert not list(tmp_path.iterdir())
+
 
 class TestVerify:
     def test_clean_suite_exits_0(self, tmp_path):
@@ -332,6 +341,16 @@ def test_cli_import_leaves_scipy_spatial_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("module", ["berezin", "berezin.cli", "berezin.closed_form",
+                                    "berezin.geometry", "berezin.inequalities",
+                                    "berezin.kernels", "berezin.matrix_oracle",
+                                    "berezin.output", "berezin.symbols", "berezin.verify"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
 
 
 def test_range_and_sweep_leave_scipy_spatial_unloaded(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berezin import closed_form as cf
 from berezin import kernels, symbols
@@ -10,9 +12,8 @@ def test_disk_point_validation_and_normalization():
     np.testing.assert_allclose(p.theta, 1.0)
     with pytest.raises(ValueError):
         cf.DiskPoint(1.0, 0.0)
-    q = cf.DiskPoint.from_complex(0.3j)
-    np.testing.assert_allclose([q.r, q.theta], [0.3, np.pi / 2])
-    np.testing.assert_allclose(q.z, 0.3j)
+    q = cf.DiskPoint(0.3, np.pi / 2)
+    np.testing.assert_allclose(q.z, 0.3j, atol=1e-17)
 
 
 def test_polar_grid_regular_properties():
@@ -61,17 +62,22 @@ def test_bergman_is_square_of_hardy():
         np.testing.assert_allclose(cf.bergman_transform(symb, z), h * h, rtol=1e-12)
 
 
-def test_blaschke_real_imag_matches_direct_bergman():
+_settings = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+_angles = st.floats(0.0, 2 * np.pi, exclude_max=True)
+
+
+def _polar(r, theta):
+    return r * np.exp(1j * theta)
+
+
+@_settings
+@given(rho=st.floats(0.05, 0.95), psi=_angles, r=st.floats(0.0, 0.98), theta=_angles)
+def test_blaschke_real_imag_matches_direct_bergman(rho, psi, r, theta):
     """The explicit real/imaginary split must agree with direct evaluation."""
-    rng = np.random.default_rng(41)
-    rr = np.linspace(0, 0.98, 50)
-    tt = np.linspace(0, 2 * np.pi, 50, endpoint=False)
-    z = rr[:, None] * np.exp(1j * tt)[None, :]
-    for _ in range(20):
-        alpha = rng.uniform(0.05, 0.95) * np.exp(2j * np.pi * rng.uniform())
-        re, im = cf.blaschke_real_imag(alpha, z)
-        direct = cf.bergman_transform(symbols.blaschke(alpha), z)
-        np.testing.assert_allclose(re + 1j * im, direct, atol=1e-12)
+    alpha, z = _polar(rho, psi), _polar(r, theta)
+    re, im = cf.blaschke_real_imag(alpha, z)
+    direct = cf.bergman_transform(symbols.blaschke(alpha), z)
+    np.testing.assert_allclose(re + 1j * im, direct, atol=1e-12)
 
 
 def test_real_axis_value_worked_example():
@@ -92,18 +98,18 @@ def test_conjugation_partner_zero_alpha_is_identity():
     assert cf.conjugation_partner(0.0, p) is p
 
 
-def test_conjugation_partner_value_symmetry():
-    rng = np.random.default_rng(8)
-    for _ in range(25):
-        alpha = rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform())
-        p = cf.DiskPoint(float(rng.uniform(0, 0.95)), float(rng.uniform(0, 2 * np.pi)))
-        q = cf.conjugation_partner(alpha, p)
-        symb = symbols.blaschke(alpha)
-        np.testing.assert_allclose(
-            cf.bergman_transform(symb, q.z),
-            np.conj(cf.bergman_transform(symb, p.z)),
-            atol=1e-12,
-        )
+@_settings
+@given(rho=st.floats(0.1, 0.9), psi=_angles, r=st.floats(0.0, 0.95), theta=_angles)
+def test_conjugation_partner_value_symmetry(rho, psi, r, theta):
+    alpha = _polar(rho, psi)
+    p = cf.DiskPoint(r, theta)
+    q = cf.conjugation_partner(alpha, p)
+    symb = symbols.blaschke(alpha)
+    np.testing.assert_allclose(
+        cf.bergman_transform(symb, q.z),
+        np.conj(cf.bergman_transform(symb, p.z)),
+        atol=1e-12,
+    )
 
 
 def test_conjugation_partner_requires_blaschke():

@@ -33,16 +33,12 @@ def test_hull_starts_at_lexicographic_minimum_ccw():
     # first vertex is the lexicographic minimum
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     np.testing.assert_allclose(hull[0], pts[order[0]])
-    # counterclockwise orientation means positive signed area
-    assert geometry.polygon_area(hull) > 0
+    # counterclockwise orientation means positive signed (shoelace) area
+    x, y = hull[:, 0], hull[:, 1]
+    assert np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y) > 0
     # every input point lies inside (within numerical slack)
     depth = geometry.hull_signed_depth(pts, pts)
     assert depth.min() >= -1e-12
-
-
-def test_polygon_area_unit_square():
-    square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
-    np.testing.assert_allclose(geometry.polygon_area(square), 1.0)
 
 
 def test_default_tolerance_scales_with_diameter():

@@ -154,15 +154,16 @@ def test_berezin_samples_inside_numerical_range():
 
 def test_operator_matrix_validation():
     with pytest.raises(ValueError):
-        oracle.OperatorMatrix(np.zeros((2, 3)), "hardy-monomial", 2)
+        oracle.OperatorMatrix(np.zeros((2, 3)), kernels.HARDY)
     op = oracle.composition_matrix(kernels.HARDY, symbols.elliptic(0.5), 4)
-    assert op.basis == "hardy-monomial"
+    assert op.space == kernels.HARDY
     assert op.truncation == 4
+    with pytest.raises(ValueError, match="basis mismatch"):
+        oracle.berezin_grid(op, kernels.BERGMAN, [0.1])
+    assert oracle.model_operator_matrix(3).space == kernels.model_space(3)
 
 
-def test_composition_matrix_rejects_l2_and_model():
-    with pytest.raises(ValueError):
-        oracle.composition_matrix(kernels.L2, symbols.elliptic(0.5), 8)
+def test_composition_matrix_rejects_model():
     with pytest.raises(ValueError):
         oracle.composition_matrix(kernels.model_space(3), symbols.elliptic(0.5), 8)
 
@@ -391,7 +392,7 @@ def test_kernel_rows_meet_the_tail_budget_and_are_minimal(symb, N):
 def test_berezin_grid_of_a_matrix_whose_norm_overflows():
     # ||C||_F is inf here, so every point keeps all N = 4 rows (w = 0 through
     # the NaN of -inf / -inf), with no floating-point warning on the way.
-    op = oracle.OperatorMatrix(np.full((4, 4), 1e155), "hardy-monomial", 4)
+    op = oracle.OperatorMatrix(np.full((4, 4), 1e155), kernels.HARDY)
     ws = np.array([0.0, 0.5, 1e-200j])
     np.testing.assert_array_equal(oracle._kernel_rows(op, kernels.HARDY, ws), [4, 4, 4])
     np.testing.assert_allclose(
