@@ -107,18 +107,22 @@ def _label(value: complex) -> str:
     return f"{re:g}{im:+g}i"
 
 
-def cmd_range(args) -> int:
-    config = RunConfig(
+def _grid_config(args) -> RunConfig:
+    """The RunConfig of a range or sweep run, from its grid options."""
+    return RunConfig(
         r_steps=args.r_steps,
         theta_steps=args.theta_steps,
         r_max=args.r_max,
         tolerance=args.tol,
     )
+
+
+def cmd_range(args) -> int:
+    config = _grid_config(args)
     space = _SPACES[args.space]
     symbol = _build_symbol(args.symbol, args.alpha, args.a, args.b)
     sample = cf.sample_range(space, symbol, config.grid())
-    cloud = sample.points()
-    report = geometry.convexity_report(geometry._sorted_unique(cloud), tol=config.tolerance)
+    report = geometry.classify_range(sample, tol=config.tolerance)
 
     stem = f"range_{args.space}_{args.symbol}"
     csv_path = args.csv or f"{stem}.csv"
@@ -133,7 +137,7 @@ def cmd_range(args) -> int:
     }
     output.write_csv(csv_path, sample)
     output.write_json(json_path, payload)
-    output.write_svg(svg_path, cloud, title=f"{args.space} {symbol.label}")
+    output.write_svg(svg_path, sample.points(), title=f"{args.space} {symbol.label}")
     print(
         f"{args.space} {symbol.label}: verdict {report.verdict} "
         f"(shape {report.shape.tag}, ber {sample.berezin_number():.6f})"
@@ -143,26 +147,20 @@ def cmd_range(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = RunConfig(
-        r_steps=args.r_steps,
-        theta_steps=args.theta_steps,
-        r_max=args.r_max,
-        tolerance=args.tol,
-    )
+    config = _grid_config(args)
     tokens = [token.strip() for token in args.alphas.split(",") if token.strip()]
     if not tokens:
         raise ValueError(f"--alphas names no parameter value: {args.alphas!r}")
     space = _SPACES[args.space]
     grid = config.grid()
+    # Every symbol is built before any is sampled, so an invalid list prints
+    # nothing but the error; for automorphism the token is a, with b = 0.
+    built = [_build_symbol(args.symbol, alpha=token, a=token) for token in tokens]
     entries = []
-    for token in tokens:
-        # for automorphism the token is a, with b = 0
-        symbol = _build_symbol(args.symbol, alpha=token, a=token)
+    for symbol in built:
         value = symbol.a if symbol.kind == "automorphism" else symbol.alpha
         sample = cf.sample_range(space, symbol, grid)
-        report = geometry.convexity_report(
-            geometry._sorted_unique(sample.points()), tol=config.tolerance
-        )
+        report = geometry.classify_range(sample, tol=config.tolerance)
         entries.append(
             {
                 "alpha": _label(value),

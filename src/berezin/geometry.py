@@ -1,9 +1,10 @@
 """Planar convexity machinery for sampled Berezin ranges.
 
-Points are (n, 2) float arrays.  The central entry point is
-:func:`convexity_report`, which classifies a sample cloud as a POINT, a
-SEGMENT or a genuine 2-D region and then issues a CONVEX / NOT_CONVEX /
-INCONCLUSIVE verdict:
+Points are (n, 2) float arrays.  A sampled range enters by
+:func:`classify_range`, a finite set by :func:`finite_set_verdict`.  The
+first hands the range's distinct values to :func:`convexity_report`, which
+classifies a cloud as a POINT, a SEGMENT or a genuine 2-D region and issues
+a CONVEX / NOT_CONVEX / INCONCLUSIVE verdict:
 
 * POINT        -> CONVEX,
 * SEGMENT      -> CONVEX iff the largest gap between consecutive projections
@@ -27,6 +28,8 @@ __all__ = [
     "convex_hull",
     "classify_shape",
     "convexity_report",
+    "classify_range",
+    "finite_set_verdict",
     "hausdorff_distance",
     "hull_signed_depth",
     "default_tolerance",
@@ -657,11 +660,7 @@ def _segment_coverage(pts, p0, p1, tol):
     return float(np.mean(_nearest_distances(pts, probes) <= tol))
 
 
-def convexity_report(
-    points,
-    tol: float | None = None,
-    exact_finite: bool = False,
-) -> ConvexityReport:
+def convexity_report(points, tol: float | None = None) -> ConvexityReport:
     """Issue a convexity verdict for a sampled planar set.
 
     Parameters
@@ -670,11 +669,6 @@ def convexity_report(
         The sample cloud.
     tol : float, optional
         Classification tolerance; defaults to 1e-3 of the sample diameter.
-    exact_finite : bool
-        Treat the input as a complete finite set (e.g. the Berezin set of a
-        finite matrix read off the diagonal).  A finite set with two or more
-        distinct points is never convex; the verdict is CONVEX iff all points
-        are exactly equal.
 
     A REGION2D input is tested on a ``_COVERAGE_STEPS`` x ``_COVERAGE_STEPS``
     grid over the hull's bounding box.
@@ -685,17 +679,6 @@ def convexity_report(
     hull = convex_hull(pts)
     diameter = _diameter(hull)
     tol = _tolerance(tol, diameter[0])
-
-    if exact_finite:
-        if len(hull) == 1:
-            shape = ShapeClass("POINT", endpoints=hull)
-            return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples)
-        shape = _classify(pts, hull, diameter, tol)
-        if shape.tag == "POINT":
-            # Distinct values closer than tol: still a finite non-convex set.
-            shape = ShapeClass("SEGMENT", endpoints=np.vstack(diameter[1]))
-        return ConvexityReport(shape, "NOT_CONVEX", 0.0, 0.0, tol, n_samples)
-
     shape = _classify(pts, hull, diameter, tol)
     if shape.tag == "POINT":
         return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples)
@@ -720,6 +703,17 @@ def convexity_report(
     else:
         verdict = "INCONCLUSIVE"
     return ConvexityReport(shape, verdict, coverage, max_gap, tol, n_samples)
+
+
+def classify_range(sample, tol: float | None = None) -> ConvexityReport:
+    """Convexity report of the distinct values of a ``closed_form.RangeSample``."""
+    return convexity_report(_sorted_unique(_as_points(sample.points())), tol)
+
+
+def finite_set_verdict(points) -> str:
+    """Verdict on a complete finite set, such as a matrix's Berezin set: CONVEX
+    exactly when all points are equal (zeros of either sign alike)."""
+    return "CONVEX" if len(_sorted_unique(_as_points(points))) == 1 else "NOT_CONVEX"
 
 
 def hausdorff_distance(a, b) -> float:

@@ -760,54 +760,64 @@ def run_trials(
     for t, rng in enumerate(rngs):
         members[int(dims[int(rng.integers(len(dims)))])].append(t)
 
-    # One slack per trial and check; NaN marks a slack not recorded.
+    # One slack per trial and check, and whether it was recorded: eq21 records
+    # none where f fails its hypotheses, mapping none where condition (18)
+    # fails on finite values.  Overflow and invalid operations warn nothing
+    # here; they leave non-finite recorded slacks, rejected by name below.
     slacks = {c: np.full(trials, np.nan) for c in checks}
+    recorded = {c: np.zeros(trials, dtype=bool) for c in checks}
+
+    def record(check, ix, values, where=True):
+        slacks[check][ix] = values
+        recorded[check][ix] = where
+
     cond18_pass = 0
-    for d, same_dim in sorted(members.items()):
-        size = max(1, _STACK_BYTES // (16 * d * d))
-        for lo in range(0, len(same_dim), size):
-            ix = same_dim[lo:lo + size]
-            g = _draw_stack([rngs[t] for t in ix], map_kind, checks, d)
-            phi = _map_for_stack(map_kind, g.get("isometry"), d)
-            A = _psd_stack(g["A"], diag_only)
-            mu = g["mu"]
-            if "eq1" in checks:
-                x, y = np.ascontiguousarray(g["eq1"].T)
-                slacks["eq1"][ix] = superquadratic_pointwise_check(f, x, y)
-            if "eq2" in checks:
-                x, y, z = np.ascontiguousarray(g["eq2"].T)
-                slacks["eq2"][ix] = scalar_popoviciu_check(f, x, y, z)
-            if "eq4" in checks:
-                B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
-                slacks["eq4"][ix] = popoviciu_operator_check(f, phi, A, B, C, mu)
-            if "eq5" in checks:
-                slacks["eq5"][ix] = intermediate_refinement_check(f, phi, A, g["eq5"], mu)
-            if "eq16" in checks:
-                slacks["eq16"][ix] = corollary_c1_check(f, phi, A, mu)
-            if "eq21" in checks and _meets(f, "eq21"):
-                # P2 of proposition_checks alone: P1 and P3 are not recorded here
-                herm, diag = _proposition_inputs(phi, A)
-                slacks["eq21"][ix] = _ber_sup_slack(f.derivative, phi, herm, diag)
-            if "mapping" in checks:
-                mp = berezin_mapping_check(f, phi, A)
-                cond18_pass += int(np.count_nonzero(mp.identity_checked))
-                slacks["mapping"][ix] = np.where(
-                    mp.identity_checked, -mp.identity_max_dev, np.nan
-                )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d, same_dim in sorted(members.items()):
+            size = max(1, _STACK_BYTES // (16 * d * d))
+            for lo in range(0, len(same_dim), size):
+                ix = same_dim[lo:lo + size]
+                g = _draw_stack([rngs[t] for t in ix], map_kind, checks, d)
+                phi = _map_for_stack(map_kind, g.get("isometry"), d)
+                A = _psd_stack(g["A"], diag_only)
+                mu = g["mu"]
+                if "eq1" in checks:
+                    x, y = np.ascontiguousarray(g["eq1"].T)
+                    record("eq1", ix, superquadratic_pointwise_check(f, x, y))
+                if "eq2" in checks:
+                    x, y, z = np.ascontiguousarray(g["eq2"].T)
+                    record("eq2", ix, scalar_popoviciu_check(f, x, y, z))
+                if "eq4" in checks:
+                    B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
+                    record("eq4", ix, popoviciu_operator_check(f, phi, A, B, C, mu))
+                if "eq5" in checks:
+                    record("eq5", ix, intermediate_refinement_check(f, phi, A, g["eq5"], mu))
+                if "eq16" in checks:
+                    record("eq16", ix, corollary_c1_check(f, phi, A, mu))
+                if "eq21" in checks and _meets(f, "eq21"):
+                    # P2 of proposition_checks alone: P1 and P3 are not recorded here
+                    herm, diag = _proposition_inputs(phi, A)
+                    record("eq21", ix, _ber_sup_slack(f.derivative, phi, herm, diag))
+                if "mapping" in checks:
+                    mp = berezin_mapping_check(f, phi, A)
+                    cond18_pass += int(np.count_nonzero(mp.identity_checked))
+                    # (18) decided on values that overflowed is no failed hypothesis
+                    sane = np.isfinite(mp.lhs_values).all(-1) & np.isfinite(mp.rhs_values).all(-1)
+                    record("mapping", ix, -mp.identity_max_dev, mp.identity_checked | ~sane)
 
-    mins: dict = {}
-    argmin: dict = {}
     for c in checks:
-        # np.argmin keeps the first of equal minima, the earliest trial.
-        s = np.where(np.isnan(slacks[c]), np.inf, slacks[c])
-        t = int(np.argmin(s)) if trials else -1
-        recorded = t >= 0 and s[t] < np.inf
-        mins[c] = float(s[t]) if recorded else np.inf
-        argmin[c] = t if recorded else -1
-
+        bad = np.flatnonzero(recorded[c] & ~np.isfinite(slacks[c]))
+        if bad.size:
+            raise ValueError(
+                f"check {c} gave a non-finite slack ({slacks[c][bad[0]]}) at trial {bad[0]} "
+                f"for {f.name}: a value overflowed or was undefined"
+            )
+    # np.argmin keeps the first of equal minima, the earliest trial.
+    argmin = {c: int(np.argmin(np.where(recorded[c], slacks[c], np.inf)))
+              if np.any(recorded[c]) else -1 for c in checks}
+    mins = {c: float(slacks[c][t]) for c, t in argmin.items() if t >= 0}
     pass_rate = cond18_pass / trials if "mapping" in checks and trials else None
-    skipped = tuple(c for c in checks if not np.isfinite(mins[c]))
-    mins = {c: float(v) for c, v in mins.items() if np.isfinite(v)}
+    skipped = tuple(c for c in checks if c not in mins)
     return TrialReport(
         seed=int(seed),
         trials=trials,

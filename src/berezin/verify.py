@@ -81,8 +81,8 @@ def suite_hardy_elliptic() -> list[CheckResult]:
     vals = _sample(kernels.HARDY, symbols.elliptic(1.0))
     out.append(CheckResult(s, "constant-at-alpha-1", float(np.max(np.abs(vals - 1.0))), 1e-12))
 
-    vals = _sample(kernels.HARDY, symbols.elliptic(-0.5))
-    re, im = vals.real, vals.imag
+    segment = cf.sample_range(kernels.HARDY, symbols.elliptic(-0.5), cf.PolarGrid.regular())
+    re, im = segment.values.real, segment.values.imag
     out.append(CheckResult(s, "real-segment-imaginary-part", float(np.max(np.abs(im))), 1e-12))
     out.append(
         CheckResult(
@@ -102,9 +102,7 @@ def suite_hardy_elliptic() -> list[CheckResult]:
             f"min={np.min(re):.6e}",
         )
     )
-    rep = geometry.convexity_report(
-        geometry._sorted_unique(np.column_stack([re.ravel(), im.ravel()]))
-    )
+    rep = geometry.classify_range(segment)
     out.append(_bool_check(s, "real-segment-verdict-convex", rep.verdict == "CONVEX", rep.verdict))
 
     grid = cf.PolarGrid.regular()
@@ -236,8 +234,8 @@ def suite_blaschke() -> list[CheckResult]:
     worst = max(worst, abs(lim0.value - 1.0))
     out.append(CheckResult(s, "boundary-limits", worst, 1e-3))
 
-    pts = cf.sample_range(kernels.BERGMAN, symbols.blaschke(0.5), cf.PolarGrid.regular()).points()
-    rep = geometry.convexity_report(geometry._sorted_unique(pts))
+    sample = cf.sample_range(kernels.BERGMAN, symbols.blaschke(0.5), cf.PolarGrid.regular())
+    rep = geometry.classify_range(sample)
     out.append(
         _bool_check(s, "bergman-alpha-0.5-not-convex", rep.verdict == "NOT_CONVEX", rep.verdict)
     )
@@ -267,8 +265,9 @@ def suite_automorphism_b0() -> list[CheckResult]:
     ok = True
     detail = []
     for a in (1.0, -1.0, 1j, -1j):
-        pts = cf.sample_range(kernels.HARDY, symbols.automorphism(a, 0.0), sweep).points()
-        rep = geometry.convexity_report(geometry._sorted_unique(pts))
+        rep = geometry.classify_range(
+            cf.sample_range(kernels.HARDY, symbols.automorphism(a, 0.0), sweep)
+        )
         ok = ok and rep.verdict == "CONVEX"
         detail.append(f"a={a}: {rep.verdict}")
     out.append(_bool_check(s, "convex-at-fourth-roots", ok, "; ".join(detail)))
@@ -314,12 +313,10 @@ def suite_matrix_diag() -> list[CheckResult]:
         _bool_check(s, "constant-diagonal-berezin-set", np.array_equal(set_c, [1.5]), f"{set_c}")
     )
 
-    rep = geometry.convexity_report(np.array([[1.0, 0.0], [2.0, 0.0]]), exact_finite=True)
-    out.append(
-        _bool_check(s, "distinct-diagonal-not-convex", rep.verdict == "NOT_CONVEX", rep.verdict)
-    )
-    rep = geometry.convexity_report(np.array([[1.5, 0.0], [1.5, 0.0]]), exact_finite=True)
-    out.append(_bool_check(s, "constant-diagonal-convex", rep.verdict == "CONVEX", rep.verdict))
+    verdict = geometry.finite_set_verdict(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    out.append(_bool_check(s, "distinct-diagonal-not-convex", verdict == "NOT_CONVEX", verdict))
+    verdict = geometry.finite_set_verdict(np.array([[1.5, 0.0], [1.5, 0.0]]))
+    out.append(_bool_check(s, "constant-diagonal-convex", verdict == "CONVEX", verdict))
 
     boundary = oracle.numerical_range_boundary(np.diag([1.0, 2.0]), 180)
     on_axis = float(np.max(np.abs(boundary[:, 1])))
@@ -349,13 +346,12 @@ def suite_oracle() -> list[CheckResult]:
                 if space.kind == "hardy"
                 else cf.bergman_transform(symb, ws)
             )
-            for trunc, bucket in ((256, "a"), (512, "b")):
-                op = oracle.composition_matrix(space, symb, trunc)
-                dev = float(np.max(np.abs(oracle.berezin_grid(op, space, ws) - closed)))
-                if trunc == 256:
-                    worst_256 = max(worst_256, dev)
-                else:
-                    worst_512 = max(worst_512, dev)
+            # One build per pair: its leading block is the N = 256 build, bit for bit.
+            op = oracle.composition_matrix(space, symb, 512)
+            dev = [float(np.max(np.abs(oracle.berezin_grid(m, space, ws) - closed)))
+                   for m in (oracle.OperatorMatrix(op.entries[:256, :256], space), op)]
+            del op  # freed before the next pair's build, which would otherwise overlap it
+            worst_256, worst_512 = max(worst_256, dev[0]), max(worst_512, dev[1])
     out.append(CheckResult(s, "closed-form-vs-matrix-N256", worst_256, 1e-8, "|w| <= 0.8"))
     out.append(
         CheckResult(

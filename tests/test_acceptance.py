@@ -15,7 +15,12 @@ import berezin.closed_form as cf
 import berezin.inequalities as ineq
 import berezin.matrix_oracle as mo
 import berezin.symbols as sym
-from berezin.geometry import convexity_report, hausdorff_distance, hull_signed_depth
+from berezin.geometry import (
+    classify_range,
+    finite_set_verdict,
+    hausdorff_distance,
+    hull_signed_depth,
+)
 from berezin.inequalities import PositiveMap, ScalarFunction
 from berezin.kernels import BERGMAN, HARDY
 
@@ -41,9 +46,7 @@ ORACLE_CATALOG = (
 
 
 def classify(space, symbol, grid=SWEEP_GRID):
-    sample = cf.sample_range(space, symbol, grid)
-    points = np.unique(sample.points(), axis=0)
-    return convexity_report(points)
+    return classify_range(cf.sample_range(space, symbol, grid))
 
 
 def test_criterion_01_constant_ranges():
@@ -200,9 +203,9 @@ def test_criterion_08_finite_matrix_verdicts():
             np.fill_diagonal(M, complex(rng.standard_normal(), rng.standard_normal()))
         values = mo.l2_berezin_set(M)
         pts = np.column_stack([values.real, values.imag])
-        report = convexity_report(pts, exact_finite=True)
+        verdict = finite_set_verdict(pts)
         constant_diag = values.size == 1
-        assert (report.verdict == "CONVEX") == constant_diag, (trial, report.verdict)
+        assert (verdict == "CONVEX") == constant_diag, (trial, verdict)
     pair_a = mo.l2_berezin_set(np.array([[1.0, 0.0], [0.0, 2.0]]))
     np.testing.assert_array_equal(pair_a, [1.0, 2.0])
     pair_c = mo.l2_berezin_set(np.array([[1.5, 1.0], [0.0, 1.5]]))

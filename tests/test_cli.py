@@ -244,6 +244,15 @@ class TestSweep:
         assert not list(tmp_path.iterdir())
 
 
+    @pytest.mark.parametrize("alphas", ["0.5,2", "0.5,nan"])
+    def test_invalid_parameter_later_in_the_list_exits_2(self, tmp_path, alphas):
+        proc = run_cli(["sweep", "--space", "hardy", f"--alphas={alphas}"], tmp_path)
+        assert proc.returncode == 2
+        assert "elliptic symbol requires |alpha| <= 1" in proc.stderr
+        assert not proc.stdout
+        assert not list(tmp_path.iterdir())
+
+
 class TestVerify:
     def test_clean_suite_exits_0(self, tmp_path):
         proc = run_cli(["verify", "--suite", "matrix-diag"], tmp_path)
@@ -316,6 +325,23 @@ class TestIneq:
         proc = run_cli(["ineq", "--f", "power:1.5", "--check", "eq4"], tmp_path)
         assert proc.returncode == 2
         assert "superquadratic" in proc.stderr
+
+    def test_overflowing_function_exits_2(self, tmp_path):
+        proc = run_cli(["ineq", "--f", "power:400"], tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: check eq1 gave a non-finite slack (nan) at trial 0 for power:400: "
+            "a value overflowed or was undefined\n"
+        )
+        assert not proc.stdout
+
+    def test_largest_catalog_power_still_runs(self, tmp_path):
+        proc = run_cli(["ineq", "--f", "power:300"], tmp_path)
+        assert proc.returncode == 0
+        assert not proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["min_slack"], payload["argmin_trial"]) == (4.596167175370184e-204, 564)
+        assert payload["skipped_checks"] == ["mapping"]
 
     def test_report_is_deterministic(self, tmp_path):
         outputs = []

@@ -1,3 +1,6 @@
+import ast
+import json
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -100,20 +103,47 @@ def test_convexity_report_gappy_segment_not_convex():
     assert rep.max_gap >= 0.5 - 1e-9
 
 
-def test_exact_finite_modes():
-    same = np.array([[1.5, 0.0], [1.5, 0.0]])
-    rep = geometry.convexity_report(same, exact_finite=True)
-    assert (rep.verdict, rep.shape.tag) == ("CONVEX", "POINT")
+@pytest.mark.parametrize("rows, verdict", [
+    ([[1.5, 0.0], [1.5, 0.0]], "CONVEX"),  # equal rows
+    ([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0]], "CONVEX"),  # differ only in the sign of a zero
+    ([[1.0, 0.0], [2.0, 0.0]], "NOT_CONVEX"),  # two distinct rows
+    ([[1.0, 0.0], [1.0, 1e-15]], "NOT_CONVEX"),  # distinct, closer than the default tolerance
+])
+def test_finite_set_verdict(rows, verdict):
+    assert geometry.finite_set_verdict(np.array(rows)) == verdict
 
-    two = np.array([[1.0, 0.0], [2.0, 0.0]])
-    rep = geometry.convexity_report(two, exact_finite=True)
-    assert rep.verdict == "NOT_CONVEX"
-    assert rep.shape.tag == "SEGMENT"
+
+@pytest.mark.parametrize("space, symbol, shape", [
+    (kernels.HARDY, symbols.blaschke(0.3j), "REGION2D"),
+    (kernels.HARDY, symbols.elliptic(-0.5), "SEGMENT"),
+    (kernels.HARDY, symbols.elliptic(1.0), "POINT"),
+])
+def test_classify_range_equals_report_of_unique_points(space, symbol, shape):
+    sample = closed_form.sample_range(space, symbol, closed_form.PolarGrid.regular())
+    got = geometry.classify_range(sample).to_json_dict()
+    ref = geometry.convexity_report(np.unique(sample.points(), axis=0)).to_json_dict()
+    assert got["shape"] == shape
+    assert json.dumps(got, sort_keys=True) == json.dumps(ref, sort_keys=True)
+
+
+def test_no_module_reaches_into_geometry_privates():
+    # classify_range and finite_set_verdict are the ways in; the helpers
+    # behind them stay private to geometry.
+    reached = []
+    for path in sorted(pathlib.Path(geometry.__file__).parent.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id == "geometry"):
+                reached.append(f"{path.name}:{node.lineno} geometry.{node.attr}")
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("geometry"):
+                reached += [f"{path.name}:{node.lineno} {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert not reached
 
 
 def test_report_json_round_trip():
-    import json
-
     rng = np.random.default_rng(44)
     rep = geometry.convexity_report(rng.uniform(size=(5000, 2)))
     payload = rep.to_json_dict()
@@ -462,8 +492,7 @@ def test_every_point_lies_in_its_own_hull(kind, n, seed):
     (np.column_stack([np.linspace(0, 1, 500), np.zeros(500)]), "SEGMENT"),
     (np.random.default_rng(9).normal(size=(3000, 2)), "REGION2D"),
 ])
-@pytest.mark.parametrize("exact_finite", [False, True])
-def test_one_hull_build_per_report(monkeypatch, points, shape, exact_finite):
+def test_one_hull_build_per_report(monkeypatch, points, shape):
     calls = []
     original = geometry.convex_hull
 
@@ -472,9 +501,8 @@ def test_one_hull_build_per_report(monkeypatch, points, shape, exact_finite):
         return original(pts)
 
     monkeypatch.setattr(geometry, "convex_hull", counted)
-    rep = geometry.convexity_report(points, exact_finite=exact_finite)
-    if not exact_finite:
-        assert rep.shape.tag == shape
+    rep = geometry.convexity_report(points)
+    assert rep.shape.tag == shape
     assert len(calls) == 1
 
 

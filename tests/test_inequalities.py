@@ -320,6 +320,14 @@ def test_run_trials_skipped_checks_recorded():
         rep.min_slack()
 
 
+@pytest.mark.parametrize("p, check", [(400, "eq4"), (400, "eq16"), (400, "mapping"),
+                                      (308, "mapping")])  # only f(A) overflows: (18) "fails"
+def test_run_trials_rejects_a_non_finite_slack_by_name(p, check):
+    # t**p overflows; the check ran, so its non-finite slack is no "not recorded" one.
+    with pytest.raises(ValueError, match=rf"check {check} gave a non-finite slack .* power:{p}"):
+        ineq.run_trials(ineq.ScalarFunction.power(p), "identity", checks=(check,), trials=40)
+
+
 def test_trial_report_json_shape():
     import json
 

@@ -229,6 +229,21 @@ def test_composition_matrix_equals_sequential_convolution(symb, N):
         )
 
 
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN], ids=lambda s: s.label)
+@pytest.mark.parametrize(
+    "symb", [symbols.blaschke(0.3j), symbols.automorphism(1.25, 0.75)], ids=lambda s: s.label
+)
+def test_leading_block_is_the_smaller_build(space, symb):
+    # verify's oracle suite builds N = 512 once and reads N = 256 off its block.
+    block = oracle.composition_matrix(space, symb, 512).entries[:256, :256]
+    small = oracle.composition_matrix(space, symb, 256)
+    assert block.tobytes() == small.entries.tobytes()
+    ws = np.array([0.0, 0.5, 0.8j, -0.3 + 0.6j])
+    head = oracle.OperatorMatrix(block, space)
+    assert (oracle.berezin_grid(head, space, ws).tobytes()
+            == oracle.berezin_grid(small, space, ws).tobytes())
+
+
 @pytest.mark.parametrize(
     "space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(1), kernels.model_space(7)],
     ids=lambda s: s.label,
