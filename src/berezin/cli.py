@@ -1,29 +1,26 @@
 """Command-line surface: range sampling, convexity sweeps, verification
 suites, and the randomized inequality harness.
 
-Exit codes: 0 success, 1 check/inequality failure, 2 invalid parameters,
-3 unwritable output path.  Outputs are deterministic for a fixed
-configuration and seed, and all files are written atomically.
+Exit codes: 0 success, 1 check/inequality failure, 2 invalid parameters or
+a request too large to allocate, 3 unwritable output path.  Outputs are
+deterministic for a fixed configuration and seed, and all files are written
+atomically.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import json
 import sys
 
-from . import closed_form as cf
-from . import geometry
-from . import inequalities as ineq
-from . import kernels
-from . import output
-from . import symbols
-from . import verify as verify_mod
+# Each command imports the package modules it runs, and nothing else: a
+# process that only prints help or a usage error loads no numpy.
 
 __all__ = ["main", "parse_complex", "RunConfig"]
 
-_SPACES = {"hardy": kernels.HARDY, "bergman": kernels.BERGMAN}
+_SPACES = ("bergman", "hardy")
 
 
 def parse_complex(text: str) -> complex:
@@ -73,6 +70,7 @@ class RunConfig:
             raise ValueError("grid must have at least 2 radii and 1 angle")
 
     def grid(self) -> cf.PolarGrid:
+        from . import closed_form as cf
         return cf.PolarGrid.regular(self.r_steps, self.theta_steps, self.r_max)
 
     def grid_payload(self) -> dict:
@@ -83,6 +81,7 @@ class RunConfig:
 def _build_symbol(kind: str, alpha=None, a=None, b=None) -> symbols.SymbolSpec:
     """The symbol of one kind from its complex literals; only the literals
     that the kind uses are parsed."""
+    from . import symbols
     if kind == "elliptic":
         if alpha is None:
             raise symbols.SymbolError("elliptic symbol needs --alpha")
@@ -118,8 +117,9 @@ def _grid_config(args) -> RunConfig:
 
 
 def cmd_range(args) -> int:
+    from . import closed_form as cf, geometry, kernels, output
     config = _grid_config(args)
-    space = _SPACES[args.space]
+    space = kernels.SpaceSpec(args.space)
     symbol = _build_symbol(args.symbol, args.alpha, args.a, args.b)
     sample = cf.sample_range(space, symbol, config.grid())
     report = geometry.classify_range(sample, tol=config.tolerance)
@@ -147,11 +147,12 @@ def cmd_range(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import closed_form as cf, geometry, kernels, output
     config = _grid_config(args)
     tokens = [token.strip() for token in args.alphas.split(",") if token.strip()]
     if not tokens:
         raise ValueError(f"--alphas names no parameter value: {args.alphas!r}")
-    space = _SPACES[args.space]
+    space = kernels.SpaceSpec(args.space)
     grid = config.grid()
     # Every symbol is built before any is sampled, so an invalid list prints
     # nothing but the error; for automorphism the token is a, with b = 0.
@@ -184,6 +185,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as verify_mod
     names = verify_mod.suite_names() if args.all else [args.suite]
     all_results = []
     for name in names:
@@ -198,6 +200,7 @@ def cmd_verify(args) -> int:
             )
     failures = [r for r in all_results if not r.passed]
     if args.json:
+        from . import output
         output.write_json(
             args.json,
             {
@@ -222,6 +225,7 @@ def cmd_verify(args) -> int:
 
 
 def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
+    from . import inequalities as ineq
     if requested:
         for name in requested:
             missing = [h for h in ineq.CHECK_REQUIRES[name] if not getattr(f, h)]
@@ -239,6 +243,7 @@ def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
 
 
 def cmd_ineq(args) -> int:
+    from . import inequalities as ineq
     config = RunConfig(trials=args.trials, seed=args.seed)
     f = ineq.parse_function(args.f)
     if args.diag_only and not args.check:
@@ -263,6 +268,7 @@ def cmd_ineq(args) -> int:
     text = json.dumps(payload, indent=2, sort_keys=True)
     print(text)
     if args.json:
+        from . import output
         output.write_json(args.json, payload)
     if report.min_slacks and report.min_slack() < ineq.SLACK_TOL:
         print(
@@ -272,6 +278,24 @@ def cmd_ineq(args) -> int:
         )
         return 1
     return 0
+
+
+class _OwnedChoices:
+    """The choices of an option, read from the module that defines them only
+    when argparse tests a value or prints the list.  Set them on the action
+    that add_argument returns: add_argument formats its choices once."""
+
+    def __init__(self, module: str, name: str):
+        self.module, self.name = module, name
+
+    def _values(self):
+        return getattr(importlib.import_module(f"{__package__}.{self.module}"), self.name)
+
+    def __contains__(self, value) -> bool:
+        return value in self._values()
+
+    def __iter__(self):
+        return iter(self._values())
 
 
 def _add_grid_options(parser, r_steps: int, theta_steps: int) -> None:
@@ -291,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_range = sub.add_parser("range", help="sample one Berezin range and classify it")
-    p_range.add_argument("--space", choices=sorted(_SPACES), required=True)
+    p_range.add_argument("--space", choices=_SPACES, required=True)
     p_range.add_argument(
         "--symbol", choices=("elliptic", "automorphism", "blaschke"), required=True
     )
@@ -305,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_range.set_defaults(fn=cmd_range)
 
     p_sweep = sub.add_parser("sweep", help="classify ranges over a parameter list")
-    p_sweep.add_argument("--space", choices=sorted(_SPACES), required=True)
+    p_sweep.add_argument("--space", choices=_SPACES, required=True)
     p_sweep.add_argument(
         "--symbol", choices=("elliptic", "automorphism", "blaschke"), default="elliptic"
     )
@@ -321,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     group = p_verify.add_mutually_exclusive_group(required=True)
-    group.add_argument("--suite", choices=verify_mod.suite_names())
+    group.add_argument("--suite").choices = _OwnedChoices("verify", "SUITES")
     group.add_argument("--all", action="store_true")
     p_verify.add_argument("--json")
     p_verify.set_defaults(fn=cmd_verify)
@@ -339,10 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ineq.add_argument(
         "--check",
         action="append",
-        choices=ineq.TRIAL_CHECKS,
         help="restrict to specific checks (repeatable; default: all that "
         "the function's hypotheses support)",
-    )
+    ).choices = _OwnedChoices("inequalities", "TRIAL_CHECKS")
     p_ineq.add_argument("--json")
     p_ineq.set_defaults(fn=cmd_ineq)
     return parser
@@ -353,8 +376,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (symbols.SymbolError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)

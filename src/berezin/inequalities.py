@@ -376,14 +376,22 @@ def popoviciu_operator_check(f: ScalarFunction, phi: PositiveMap, A, B, C, mu):
     correction terms (three operator f-terms at the paired Berezin scalars,
     three scalar f(|...|) terms at the sixth-difference combinations).
     """
-    A, B, C = (_as_hermitian(X) for X in (A, B, C))
+    return _popoviciu_slack(f, phi, _as_hermitian(A), B, C, mu)
+
+
+# The private cores below take A already Hermitian, and f(A) when the caller
+# has it: run_trials computes both once per stack for every check.
+
+def _popoviciu_slack(f, phi, A, B, C, mu, fA=None):
+    B, C = _as_hermitian(B), _as_hermitian(C)
     if not (A.shape == B.shape == C.shape):
         raise ValueError("dimension mismatch among the three operators")
     if not f.superquadratic:
         raise ValueError(f"{f.name} is not superquadratic; hypothesis violated")
     _require_unital(phi, A.shape[-1])
 
-    fA, fB, fC = (functional_calculus(X, f) for X in (A, B, C))
+    fA = functional_calculus(A, f) if fA is None else fA
+    fB, fC = functional_calculus(B, f), functional_calculus(C, f)
     lhs = berezin_at(phi.apply((fA + fB + fC) / 3.0), mu) + f(
         _berezin_of_map(phi, (A + B + C) / 3.0, mu)
     )
@@ -414,12 +422,15 @@ def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu)
     single-point engine behind the refinement corollaries; it is a true
     inequality for every superquadratic catalog function.
     """
-    T = _as_hermitian(T)
+    return _intermediate_slack(f, phi, _as_hermitian(T), x, mu)
+
+
+def _intermediate_slack(f, phi, T, x, mu, fT=None):
     if f.c_x is None:
         raise ValueError(f"{f.name} has no constant chooser C_x")
     _require_unital(phi, T.shape[-1])
     x = np.asarray(x, dtype=float)
-    lhs = berezin_at(phi.apply(functional_calculus(T, f)), mu)
+    lhs = berezin_at(phi.apply(functional_calculus(T, f) if fT is None else fT), mu)
     linear = f.c_x(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
     return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
@@ -430,12 +441,15 @@ def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
         -f(0) >= f((Phi(A))~(mu)) - (Phi(f(A)))~(mu)
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
-    A = _as_hermitian(A)
+    return _c1_slack(f, phi, _as_hermitian(A), mu)
+
+
+def _c1_slack(f, phi, A, mu, fA=None):
     _require_unital(phi, A.shape[-1])
     a = _berezin_of_map(phi, A, mu)
     rhs = (
         f(a)
-        - berezin_at(phi.apply(functional_calculus(A, f)), mu)
+        - berezin_at(phi.apply(functional_calculus(A, f) if fA is None else fA), mu)
         + _f_abs_term(f, phi, A, a, mu)
     )
     return _unstacked(-f(0.0) - rhs)
@@ -475,10 +489,13 @@ def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingRepo
     When (18) fails at any index the identity is not asserted; the failing
     indices are reported instead.
     """
-    A = _as_hermitian(A)
+    return _mapping_report(f, phi, _as_hermitian(A))
+
+
+def _mapping_report(f, phi, A, fA=None) -> MappingReport:
     _require_unital(phi, A.shape[-1])
     phi_A = phi.apply(A)
-    phi_fA = phi.apply(functional_calculus(A, f))
+    phi_fA = phi.apply(functional_calculus(A, f) if fA is None else fA)
     lhs = np.asarray(f(np.real(_diagonal(phi_A))), dtype=float)
     rhs = np.real(_diagonal(phi_fA))
     failing = lhs < rhs - CONDITION18_TOL
@@ -772,6 +789,7 @@ def run_trials(
         recorded[check][ix] = where
 
     cond18_pass = 0
+    uses_fA = any(c in checks for c in ("eq4", "eq5", "eq16", "mapping"))
     with np.errstate(over="ignore", invalid="ignore"):
         for d, same_dim in sorted(members.items()):
             size = max(1, _STACK_BYTES // (16 * d * d))
@@ -779,7 +797,8 @@ def run_trials(
                 ix = same_dim[lo:lo + size]
                 g = _draw_stack([rngs[t] for t in ix], map_kind, checks, d)
                 phi = _map_for_stack(map_kind, g.get("isometry"), d)
-                A = _psd_stack(g["A"], diag_only)
+                A = _as_hermitian(_psd_stack(g["A"], diag_only))
+                fA = functional_calculus(A, f) if uses_fA else None
                 mu = g["mu"]
                 if "eq1" in checks:
                     x, y = np.ascontiguousarray(g["eq1"].T)
@@ -789,17 +808,17 @@ def run_trials(
                     record("eq2", ix, scalar_popoviciu_check(f, x, y, z))
                 if "eq4" in checks:
                     B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
-                    record("eq4", ix, popoviciu_operator_check(f, phi, A, B, C, mu))
+                    record("eq4", ix, _popoviciu_slack(f, phi, A, B, C, mu, fA))
                 if "eq5" in checks:
-                    record("eq5", ix, intermediate_refinement_check(f, phi, A, g["eq5"], mu))
+                    record("eq5", ix, _intermediate_slack(f, phi, A, g["eq5"], mu, fA))
                 if "eq16" in checks:
-                    record("eq16", ix, corollary_c1_check(f, phi, A, mu))
+                    record("eq16", ix, _c1_slack(f, phi, A, mu, fA))
                 if "eq21" in checks and _meets(f, "eq21"):
                     # P2 of proposition_checks alone: P1 and P3 are not recorded here
-                    herm, diag = _proposition_inputs(phi, A)
-                    record("eq21", ix, _ber_sup_slack(f.derivative, phi, herm, diag))
+                    _, diag = _proposition_inputs(phi, A)
+                    record("eq21", ix, _ber_sup_slack(f.derivative, phi, A, diag))
                 if "mapping" in checks:
-                    mp = berezin_mapping_check(f, phi, A)
+                    mp = _mapping_report(f, phi, A, fA)
                     cond18_pass += int(np.count_nonzero(mp.identity_checked))
                     # (18) decided on values that overflowed is no failed hypothesis
                     sane = np.isfinite(mp.lhs_values).all(-1) & np.isfinite(mp.rhs_values).all(-1)

@@ -1,6 +1,8 @@
+import ast
 import importlib
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -273,6 +275,11 @@ class TestVerify:
     def test_unknown_suite_rejected_by_parser(self, tmp_path):
         proc = run_cli(["verify", "--suite", "nonsense"], tmp_path)
         assert proc.returncode == 2
+        assert proc.stderr.splitlines()[-1] == (
+            "berezin verify: error: argument --suite: invalid choice: 'nonsense' "
+            "(choose from 'hardy-elliptic', 'bergman-elliptic', 'blaschke', "
+            "'automorphism-b0', 'model', 'matrix-diag', 'oracle', 'inequalities')"
+        )
 
 
 class TestIneq:
@@ -394,3 +401,128 @@ def test_range_and_sweep_leave_scipy_spatial_unloaded(tmp_path):
     assert "(shape REGION2D," in proc.stdout
     assert "alpha=-0.5: CONVEX (SEGMENT)" in proc.stdout
     assert proc.stdout.strip().splitlines()[-1] == "0 0 False"
+
+
+@pytest.mark.parametrize("command", [
+    ["range", "--space", "bergman", "--symbol", "blaschke", "--alpha=0.5"],
+    ["sweep", "--space", "bergman", "--symbol", "blaschke", "--alphas=0.5"],
+])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, command):
+    # 10**17 angles take 711 PiB, more than any address space, so numpy
+    # refuses the first allocation at once and nothing is really allocated.
+    proc = run_cli([*command, f"--theta-steps={10**17}"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: out of memory: Unable to allocate 711. PiB")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not proc.stdout
+    assert not list(tmp_path.iterdir())
+
+
+_MODULES = ("cli", "closed_form", "geometry", "inequalities", "kernels",
+            "matrix_oracle", "output", "symbols", "verify")
+
+# A child that runs `python -m berezin ARGV`, then writes its exit code and
+# the loaded modules of numpy and the package as the last line of stderr.
+_LOADED_BY = """
+import json, runpy, sys
+sys.argv[0] = "berezin"
+try:
+    runpy.run_module("berezin", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, [m for m in sys.modules if m == "numpy" or m.startswith("berezin")]]),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["--help"], {"numpy", *(f"berezin.{m}" for m in _MODULES if m != "cli")}),
+    (["ineq", "--trials", "20", "--dim", "2", "--check", "eq16"],
+     {"berezin.geometry", "berezin.closed_form", "berezin.matrix_oracle",
+      "berezin.verify", "berezin.output"}),
+    (["range", "--space", "hardy", "--symbol", "elliptic", "--alpha", "0.5i",
+      "--r-steps", "20", "--theta-steps", "16"],
+     {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
+    (["sweep", "--space", "hardy", "--alphas=-0.5,0.5i", "--r-steps", "20"],
+     {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
+])
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
+    proc = run_python(["-c", _LOADED_BY, *argv], tmp_path)
+    code, loaded = json.loads(proc.stderr.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert "berezin.cli" in loaded
+    assert not unloaded & set(loaded)
+
+
+def test_package_names_resolve_to_their_module_objects(tmp_path):
+    code = f"""
+import importlib, sys, berezin
+assert "berezin.geometry" not in sys.modules
+assert set(berezin.__all__) <= set(dir(berezin))
+assert berezin.geometry is sys.modules["berezin.geometry"]
+names = [n for n in berezin.__all__ if n != "__version__"]
+got = {{}}
+for name in names:
+    exec(f"from berezin import {{name}}", got)
+modules = [importlib.import_module(f"berezin.{{m}}") for m in {_MODULES!r}]
+for name in names:
+    owners = [m for m in modules if name in m.__all__]
+    assert owners and all(getattr(m, name) is got[name] for m in owners), name
+print(len(names))
+"""
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == len(berezin.__all__) - 1
+
+
+# The CLI with every option's choices read eagerly, as a plain list.
+_EAGER_CHOICES = """
+import importlib, sys
+import berezin.cli as cli
+cli._OwnedChoices = lambda module, name: list(
+    getattr(importlib.import_module(f"berezin.{module}"), name))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["verify", "--help"],
+    ["ineq", "--help"],
+    ["verify", "--suite", "nonsense"],
+    ["ineq", "--check", "eq99"],
+])
+def test_lazy_choices_print_as_eager_ones(tmp_path, argv):
+    lazy = run_cli(argv, tmp_path)
+    eager = run_python(["-c", _EAGER_CHOICES, *argv], tmp_path)
+    assert (lazy.returncode, lazy.stdout, lazy.stderr) == (
+        eager.returncode, eager.stdout, eager.stderr)
+    if argv[-1] == "eq99":
+        assert lazy.stderr.splitlines()[-1] == (
+            "berezin ineq: error: argument --check: invalid choice: 'eq99' "
+            "(choose from 'eq1', 'eq2', 'eq4', 'eq5', 'eq16', 'eq21', 'mapping')"
+        )
+
+
+def test_cli_and_package_import_no_package_module_at_module_level():
+    # Each command imports the modules it runs and the package resolves its
+    # names on first access; a module-level import would load a module for
+    # every command, --help included.
+    found = []
+    root = pathlib.Path(berezin.__file__).parent
+    for name in ("__init__.py", "cli.py"):
+        stack = list(ast.parse((root / name).read_text(), name).body)
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.extend(ast.iter_child_nodes(node))
+            if isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if not node.level else ["berezin"]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {m}" for m in modules
+                      if m.split(".")[0] == "berezin"]
+    assert not found

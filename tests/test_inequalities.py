@@ -590,6 +590,19 @@ def test_run_trials_split_into_small_stacks_equals_per_trial_loop(monkeypatch):
                 rep.condition18_pass_rate) == want
 
 
+def test_run_trials_computes_f_of_a_once_per_stack(monkeypatch):
+    # eq4, eq5, eq16 and mapping share one f(A) per stack: 8 trials at d = 3
+    # are one stack, which needs f(A), eq4's f(B), f(C) and its three
+    # f(|X - sI|) terms, and one such term each for eq5 and eq16.
+    calls = []
+    original = ineq.functional_calculus
+    monkeypatch.setattr(ineq, "functional_calculus",
+                        lambda A, f: calls.append(A.shape) or original(A, f))
+    ineq.run_trials(ineq.ScalarFunction.power(2), "compression",
+                    ("eq4", "eq5", "eq16", "mapping"), trials=8, dims=(3,), seed=1)
+    assert calls == [(8, 3, 3)] * 8
+
+
 def test_positive_map_hashes_and_compares_by_identity():
     V = ineq.random_isometry(np.random.default_rng(0), 4, 2)
     phi = ineq.PositiveMap.compression(V)
