@@ -15,12 +15,13 @@ import importlib
 import json
 import sys
 
-# Each command imports the package modules it runs, and nothing else: a
-# process that only prints help or a usage error loads no numpy.
+# Each command imports the package modules it runs, and nothing else; help
+# and usage lines load numpy only to list the --suite or --check choices.
 
 __all__ = ["main", "parse_complex", "RunConfig"]
 
 _SPACES = ("bergman", "hardy")
+_MESH_BYTES_MAX = 2**48  # a larger complex mesh exceeds a 48-bit address space
 
 
 def parse_complex(text: str) -> complex:
@@ -68,8 +69,11 @@ class RunConfig:
             raise ValueError("seed must be >= 0")
         if self.r_steps < 2 or self.theta_steps < 1:
             raise ValueError("grid must have at least 2 radii and 1 angle")
+        if (nbytes := 16 * self.r_steps * self.theta_steps) > _MESH_BYTES_MAX:
+            raise MemoryError(f"a {self.r_steps} x {self.theta_steps} grid needs "
+                              f"{nbytes / 2**50:.3g} PiB per complex array")
 
-    def grid(self) -> cf.PolarGrid:
+    def grid(self):
         from . import closed_form as cf
         return cf.PolarGrid.regular(self.r_steps, self.theta_steps, self.r_max)
 
@@ -78,7 +82,7 @@ class RunConfig:
         return {"r_steps": self.r_steps, "theta_steps": self.theta_steps, "r_max": self.r_max}
 
 
-def _build_symbol(kind: str, alpha=None, a=None, b=None) -> symbols.SymbolSpec:
+def _build_symbol(kind: str, alpha=None, a=None, b=None):
     """The symbol of one kind from its complex literals; only the literals
     that the kind uses are parsed."""
     from . import symbols
@@ -224,7 +228,7 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _checks_for(f: ineq.ScalarFunction, requested) -> tuple[str, ...]:
+def _checks_for(f, requested) -> tuple[str, ...]:
     from . import inequalities as ineq
     if requested:
         for name in requested:

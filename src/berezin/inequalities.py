@@ -376,13 +376,14 @@ def popoviciu_operator_check(f: ScalarFunction, phi: PositiveMap, A, B, C, mu):
     correction terms (three operator f-terms at the paired Berezin scalars,
     three scalar f(|...|) terms at the sixth-difference combinations).
     """
-    return _popoviciu_slack(f, phi, _as_hermitian(A), B, C, mu)
+    H = _as_hermitian(A)
+    return _popoviciu_slack(f, phi, H, B, C, mu, functional_calculus(H, f))
 
 
-# The private cores below take A already Hermitian, and f(A) when the caller
-# has it: run_trials computes both once per stack for every check.
+# The private cores below take A already Hermitian and its f(A): run_trials
+# computes both once per stack for every check.
 
-def _popoviciu_slack(f, phi, A, B, C, mu, fA=None):
+def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     B, C = _as_hermitian(B), _as_hermitian(C)
     if not (A.shape == B.shape == C.shape):
         raise ValueError("dimension mismatch among the three operators")
@@ -390,7 +391,6 @@ def _popoviciu_slack(f, phi, A, B, C, mu, fA=None):
         raise ValueError(f"{f.name} is not superquadratic; hypothesis violated")
     _require_unital(phi, A.shape[-1])
 
-    fA = functional_calculus(A, f) if fA is None else fA
     fB, fC = functional_calculus(B, f), functional_calculus(C, f)
     lhs = berezin_at(phi.apply((fA + fB + fC) / 3.0), mu) + f(
         _berezin_of_map(phi, (A + B + C) / 3.0, mu)
@@ -422,15 +422,16 @@ def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu)
     single-point engine behind the refinement corollaries; it is a true
     inequality for every superquadratic catalog function.
     """
-    return _intermediate_slack(f, phi, _as_hermitian(T), x, mu)
+    H = _as_hermitian(T)
+    return _intermediate_slack(f, phi, H, x, mu, functional_calculus(H, f))
 
 
-def _intermediate_slack(f, phi, T, x, mu, fT=None):
+def _intermediate_slack(f, phi, T, x, mu, fT):
     if f.c_x is None:
         raise ValueError(f"{f.name} has no constant chooser C_x")
     _require_unital(phi, T.shape[-1])
     x = np.asarray(x, dtype=float)
-    lhs = berezin_at(phi.apply(functional_calculus(T, f) if fT is None else fT), mu)
+    lhs = berezin_at(phi.apply(fT), mu)
     linear = f.c_x(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
     return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
@@ -441,17 +442,14 @@ def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
         -f(0) >= f((Phi(A))~(mu)) - (Phi(f(A)))~(mu)
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
-    return _c1_slack(f, phi, _as_hermitian(A), mu)
+    H = _as_hermitian(A)
+    return _c1_slack(f, phi, H, mu, functional_calculus(H, f))
 
 
-def _c1_slack(f, phi, A, mu, fA=None):
+def _c1_slack(f, phi, A, mu, fA):
     _require_unital(phi, A.shape[-1])
     a = _berezin_of_map(phi, A, mu)
-    rhs = (
-        f(a)
-        - berezin_at(phi.apply(functional_calculus(A, f) if fA is None else fA), mu)
-        + _f_abs_term(f, phi, A, a, mu)
-    )
+    rhs = f(a) - berezin_at(phi.apply(fA), mu) + _f_abs_term(f, phi, A, a, mu)
     return _unstacked(-f(0.0) - rhs)
 
 
@@ -489,13 +487,14 @@ def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingRepo
     When (18) fails at any index the identity is not asserted; the failing
     indices are reported instead.
     """
-    return _mapping_report(f, phi, _as_hermitian(A))
+    H = _as_hermitian(A)
+    return _mapping_report(f, phi, H, functional_calculus(H, f))
 
 
-def _mapping_report(f, phi, A, fA=None) -> MappingReport:
+def _mapping_report(f, phi, A, fA) -> MappingReport:
     _require_unital(phi, A.shape[-1])
     phi_A = phi.apply(A)
-    phi_fA = phi.apply(functional_calculus(A, f) if fA is None else fA)
+    phi_fA = phi.apply(fA)
     lhs = np.asarray(f(np.real(_diagonal(phi_A))), dtype=float)
     rhs = np.real(_diagonal(phi_fA))
     failing = lhs < rhs - CONDITION18_TOL

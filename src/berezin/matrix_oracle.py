@@ -173,17 +173,15 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     ws = np.asarray(ws, dtype=complex)
     flat = disk_points(ws.ravel())
     rows = _kernel_rows(op, space, flat)
+    order = np.argsort(rows, kind="stable")
     sizes, counts = np.unique(rows, return_counts=True)
-    # One block size (always so on a model space) keeps the points in place.
-    order = np.argsort(rows, kind="stable") if sizes.size > 1 else None
     vals = np.empty(flat.size, dtype=complex)
     start = 0
     for M, count in zip(sizes.tolist(), counts.tolist()):
         block = op.entries[:M, :M]
         step = max(1, _CHUNK_BYTES // (16 * M))
         for lo in range(start, start + count, step):
-            hi = min(lo + step, start + count)
-            ix = slice(lo, hi) if order is None else order[lo:hi]
+            ix = order[lo:min(lo + step, start + count)]
             v = normalized_kernel_matrix(space, flat[ix], M)
             mv = block @ v
             vals[ix] = np.einsum("ip,ip->p", np.conj(v, out=v), mv)

@@ -408,13 +408,30 @@ def test_range_and_sweep_leave_scipy_spatial_unloaded(tmp_path):
     ["sweep", "--space", "bergman", "--symbol", "blaschke", "--alphas=0.5"],
 ])
 def test_grid_too_large_to_allocate_exits_2(tmp_path, command):
-    # 10**17 angles take 711 PiB, more than any address space, so numpy
-    # refuses the first allocation at once and nothing is really allocated.
-    proc = run_cli([*command, f"--theta-steps={10**17}"], tmp_path)
+    # A 10**8 x 10**8 mesh takes 142 PiB, more than any address space; the
+    # grid is refused before its axes are built.
+    argv = [*command, "--r-steps", "100000000", "--theta-steps", "100000000"]
+    proc = run_cli(argv, tmp_path)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: out of memory: Unable to allocate 711. PiB")
-    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr == (
+        "error: out of memory: a 100000000 x 100000000 grid needs 142 PiB per complex array\n"
+    )
     assert not proc.stdout
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_of_a_command_exits_2(monkeypatch, capsys, tmp_path):
+    # A refused allocation inside a command becomes one error line, not a traceback.
+    def refuse(config):
+        raise MemoryError("Unable to allocate 711. PiB for an array")
+
+    monkeypatch.setattr(berezin.cli.RunConfig, "grid", refuse)
+    monkeypatch.chdir(tmp_path)
+    code = berezin.cli.main(["range", "--space", "hardy", "--symbol", "elliptic", "--alpha=0.5"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert not out
+    assert err == "error: out of memory: Unable to allocate 711. PiB for an array\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -435,21 +452,29 @@ print(json.dumps([code, [m for m in sys.modules if m == "numpy" or m.startswith(
 """
 
 
-@pytest.mark.parametrize("argv, unloaded", [
-    (["--help"], {"numpy", *(f"berezin.{m}" for m in _MODULES if m != "cli")}),
-    (["ineq", "--trials", "20", "--dim", "2", "--check", "eq16"],
-     {"berezin.geometry", "berezin.closed_form", "berezin.matrix_oracle",
-      "berezin.verify", "berezin.output"}),
+_CLI_ONLY = {"numpy", *(f"berezin.{m}" for m in _MODULES if m != "cli")}
+_NOT_INEQ = {"berezin.geometry", "berezin.closed_form", "berezin.matrix_oracle",
+             "berezin.verify", "berezin.output"}
+
+
+@pytest.mark.parametrize("argv, exit_code, unloaded", [
+    (["--help"], 0, _CLI_ONLY),
+    (["nonsense"], 2, _CLI_ONLY),
+    (["range", "--space", "nowhere"], 2, _CLI_ONLY),
+    (["sweep", "--r-steps", "x"], 2, _CLI_ONLY),
+    (["ineq", "--trials", "20", "--dim", "2", "--check", "eq16"], 0, _NOT_INEQ),
+    # the usage line lists the --check choices, which inequalities owns
+    (["ineq", "--trials", "x"], 2, _NOT_INEQ),
     (["range", "--space", "hardy", "--symbol", "elliptic", "--alpha", "0.5i",
       "--r-steps", "20", "--theta-steps", "16"],
-     {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
+     0, {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
     (["sweep", "--space", "hardy", "--alphas=-0.5,0.5i", "--r-steps", "20"],
-     {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
+     0, {"berezin.inequalities", "berezin.matrix_oracle", "berezin.verify"}),
 ])
-def test_each_command_loads_only_what_it_runs(tmp_path, argv, unloaded):
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, exit_code, unloaded):
     proc = run_python(["-c", _LOADED_BY, *argv], tmp_path)
     code, loaded = json.loads(proc.stderr.splitlines()[-1])
-    assert code == 0, proc.stderr
+    assert code == exit_code, proc.stderr
     assert "berezin.cli" in loaded
     assert not unloaded & set(loaded)
 
