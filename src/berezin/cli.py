@@ -10,18 +10,18 @@ atomically.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import json
 import sys
 
 # Each command imports the package modules it runs, and nothing else; help
-# and usage lines load numpy only to list the --suite or --check choices.
+# and usage lines load numpy only to list the --suite, --check or --map
+# choices.
 
-__all__ = ["main", "parse_complex", "RunConfig"]
+__all__ = ["main", "parse_complex"]
 
 _SPACES = ("bergman", "hardy")
-_MESH_BYTES_MAX = 2**48  # a larger complex mesh exceeds a 48-bit address space
+_SYMBOLS = ("elliptic", "automorphism", "blaschke")
 
 
 def parse_complex(text: str) -> complex:
@@ -47,39 +47,6 @@ def parse_complex(text: str) -> complex:
         return complex(float(re_part) if re_part else 0.0, im_val)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the sampling commands."""
-
-    r_steps: int = 200
-    theta_steps: int = 256
-    r_max: float = 0.998
-    tolerance: float | None = None
-    trials: int = 1000
-    seed: int = 42
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.r_max < 1.0):
-            raise ValueError("r_max must lie in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.r_steps < 2 or self.theta_steps < 1:
-            raise ValueError("grid must have at least 2 radii and 1 angle")
-        if (nbytes := 16 * self.r_steps * self.theta_steps) > _MESH_BYTES_MAX:
-            raise MemoryError(f"a {self.r_steps} x {self.theta_steps} grid needs "
-                              f"{nbytes / 2**50:.3g} PiB per complex array")
-
-    def grid(self):
-        from . import closed_form as cf
-        return cf.PolarGrid.regular(self.r_steps, self.theta_steps, self.r_max)
-
-    def grid_payload(self) -> dict:
-        """The "grid" entry of a range or sweep report."""
-        return {"r_steps": self.r_steps, "theta_steps": self.theta_steps, "r_max": self.r_max}
 
 
 def _build_symbol(kind: str, alpha=None, a=None, b=None):
@@ -110,23 +77,18 @@ def _label(value: complex) -> str:
     return f"{re:g}{im:+g}i"
 
 
-def _grid_config(args) -> RunConfig:
-    """The RunConfig of a range or sweep run, from its grid options."""
-    return RunConfig(
-        r_steps=args.r_steps,
-        theta_steps=args.theta_steps,
-        r_max=args.r_max,
-        tolerance=args.tol,
-    )
+def _grid_payload(args) -> dict:
+    """The "grid" entry of a range or sweep report."""
+    return {"r_steps": args.r_steps, "theta_steps": args.theta_steps, "r_max": args.r_max}
 
 
 def cmd_range(args) -> int:
     from . import closed_form as cf, geometry, kernels, output
-    config = _grid_config(args)
+    grid = cf.PolarGrid.regular(args.r_steps, args.theta_steps, args.r_max)
     space = kernels.SpaceSpec(args.space)
     symbol = _build_symbol(args.symbol, args.alpha, args.a, args.b)
-    sample = cf.sample_range(space, symbol, config.grid())
-    report = geometry.classify_range(sample, tol=config.tolerance)
+    sample = cf.sample_range(space, symbol, grid)
+    report = geometry.classify_range(sample, tol=args.tol)
 
     stem = f"range_{args.space}_{args.symbol}"
     csv_path = args.csv or f"{stem}.csv"
@@ -135,7 +97,7 @@ def cmd_range(args) -> int:
     payload = {
         "space": args.space,
         "symbol": symbol.label,
-        "grid": config.grid_payload(),
+        "grid": _grid_payload(args),
         "berezin_number": sample.berezin_number(),
         "report": report.to_json_dict(),
     }
@@ -152,12 +114,11 @@ def cmd_range(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import closed_form as cf, geometry, kernels, output
-    config = _grid_config(args)
+    grid = cf.PolarGrid.regular(args.r_steps, args.theta_steps, args.r_max)
     tokens = [token.strip() for token in args.alphas.split(",") if token.strip()]
     if not tokens:
         raise ValueError(f"--alphas names no parameter value: {args.alphas!r}")
     space = kernels.SpaceSpec(args.space)
-    grid = config.grid()
     # Every symbol is built before any is sampled, so an invalid list prints
     # nothing but the error; for automorphism the token is a, with b = 0.
     built = [_build_symbol(args.symbol, alpha=token, a=token) for token in tokens]
@@ -165,7 +126,7 @@ def cmd_sweep(args) -> int:
     for symbol in built:
         value = symbol.a if symbol.kind == "automorphism" else symbol.alpha
         sample = cf.sample_range(space, symbol, grid)
-        report = geometry.classify_range(sample, tol=config.tolerance)
+        report = geometry.classify_range(sample, tol=args.tol)
         entries.append(
             {
                 "alpha": _label(value),
@@ -179,7 +140,7 @@ def cmd_sweep(args) -> int:
     payload = {
         "space": args.space,
         "symbol": args.symbol,
-        "grid": config.grid_payload(),
+        "grid": _grid_payload(args),
         "entries": entries,
     }
     json_path = args.json or f"sweep_{args.space}_{args.symbol}.json"
@@ -228,34 +189,19 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _checks_for(f, requested) -> tuple[str, ...]:
-    from . import inequalities as ineq
-    if requested:
-        for name in requested:
-            missing = [h for h in ineq.CHECK_REQUIRES[name] if not getattr(f, h)]
-            if missing:
-                raise ValueError(
-                    f"check {name!r} requires a {' '.join(missing)} function; "
-                    f"{f.name} violates: {missing[0]}"
-                )
-        return tuple(requested)
-    return tuple(
-        name
-        for name in ineq.TRIAL_CHECKS
-        if all(getattr(f, h) for h in ineq.CHECK_REQUIRES[name])
-    )
-
-
 def cmd_ineq(args) -> int:
     from . import inequalities as ineq
-    config = RunConfig(trials=args.trials, seed=args.seed)
+    if args.trials < 1:
+        raise ValueError("trials must be >= 1")
+    if args.seed < 0:
+        raise ValueError("seed must be >= 0")
     f = ineq.parse_function(args.f)
     if args.diag_only and not args.check:
         # diagonal mode exists to exercise the mapping identity; the
         # inequality checks have their own full-matrix harness runs
         checks = ("mapping",)
     else:
-        checks = _checks_for(f, args.check)
+        checks = ineq.checks_for(f, args.check)
     if args.dim is not None and args.dim < 1:
         raise ValueError(f"--dim must be >= 1, got {args.dim}")
     dims = (args.dim,) if args.dim is not None else (2, 3, 4, 5, 6, 7, 8)
@@ -263,9 +209,9 @@ def cmd_ineq(args) -> int:
         f,
         map_kind=args.map,
         checks=checks,
-        trials=config.trials,
+        trials=args.trials,
         dims=dims,
-        seed=config.seed,
+        seed=args.seed,
         diag_only=args.diag_only,
     )
     payload = report.to_json_dict()
@@ -320,9 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_range = sub.add_parser("range", help="sample one Berezin range and classify it")
     p_range.add_argument("--space", choices=_SPACES, required=True)
-    p_range.add_argument(
-        "--symbol", choices=("elliptic", "automorphism", "blaschke"), required=True
-    )
+    p_range.add_argument("--symbol", choices=_SYMBOLS, required=True)
     p_range.add_argument("--alpha", help='complex literal, e.g. "0.25+0.25i"')
     p_range.add_argument("--a", help="automorphism numerator coefficient")
     p_range.add_argument("--b", help="automorphism offset coefficient (default 0)")
@@ -334,9 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="classify ranges over a parameter list")
     p_sweep.add_argument("--space", choices=_SPACES, required=True)
-    p_sweep.add_argument(
-        "--symbol", choices=("elliptic", "automorphism", "blaschke"), default="elliptic"
-    )
+    p_sweep.add_argument("--symbol", choices=_SYMBOLS, default="elliptic")
     p_sweep.add_argument(
         "--alphas",
         required=True,
@@ -356,9 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ineq = sub.add_parser("ineq", help="randomized operator-inequality harness")
     p_ineq.add_argument("--f", default="power:2", help="power:P or neg-const[:C]")
-    p_ineq.add_argument(
-        "--map", choices=("identity", "pinching", "compression"), default="identity"
-    )
+    p_ineq.add_argument("--map", default="identity").choices = _OwnedChoices(
+        "inequalities", "_MAP_KINDS")
     p_ineq.add_argument("--trials", type=int, default=1000)
     p_ineq.add_argument("--dim", type=int, default=None,
                         help="fix one dimension (default: draw from 2..8)")

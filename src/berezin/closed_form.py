@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_MESH_BYTES_MAX = 2**48  # a larger complex mesh exceeds a 48-bit address space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,12 +81,20 @@ class PolarGrid:
         """Radii uniform in r^2 on [0, r_max^2], angles uniform in [0, 2*pi).
 
         Uniform spacing in r^2 equidistributes |z|^2, the variable every
-        closed form actually depends on.
+        closed form actually depends on.  A grid of fewer than 2 radii or 1
+        angle, or whose complex mesh would take over 2^48 bytes, is refused
+        before anything is allocated.
         """
         if not (0.0 < r_max < 1.0):
             raise ValueError("r_max must lie in (0, 1)")
-        r = np.sqrt(np.linspace(0.0, r_max**2, int(r_steps)))
-        t = np.linspace(0.0, TWO_PI, int(theta_steps), endpoint=False)
+        r_steps, theta_steps = int(r_steps), int(theta_steps)
+        if r_steps < 2 or theta_steps < 1:
+            raise ValueError("grid must have at least 2 radii and 1 angle")
+        if (nbytes := 16 * r_steps * theta_steps) > _MESH_BYTES_MAX:
+            raise MemoryError(f"a {r_steps} x {theta_steps} grid needs "
+                              f"{nbytes / 2**50:.3g} PiB per complex array")
+        r = np.sqrt(np.linspace(0.0, r_max**2, r_steps))
+        t = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)
         return cls(r, t)
 
     def mesh(self) -> np.ndarray:

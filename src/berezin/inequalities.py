@@ -46,6 +46,7 @@ __all__ = [
     "parse_function",
     "TRIAL_CHECKS",
     "CHECK_REQUIRES",
+    "checks_for",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -65,23 +66,23 @@ SLACK_TOL = -1e-9
 class ScalarFunction:
     """A scalar function together with the hypothesis flags the checks need.
 
-    ``c_x`` is the constant chooser of the superquadratic definition
-    f(y) >= f(x) + C_x (y - x) + f(|y - x|); for differentiable catalog
-    functions it is f', and for bounded negative constants it is 0.
+    ``derivative`` is f'.  It is also the constant chooser C_x of the
+    superquadratic definition f(y) >= f(x) + C_x (y - x) + f(|y - x|): for
+    a differentiable superquadratic f with f(0) = f'(0) = 0, C_x = f'(x)
+    (Abramovich, Jameson and Sinnamon 2004), and for a negative constant
+    both are 0.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    c_x: Callable[[np.ndarray], np.ndarray] | None = None
     derivative: Callable[[np.ndarray], np.ndarray] | None = None
     superquadratic: bool = False
     nonnegative: bool = False
     convex: bool = False
-    differentiable: bool = False
 
-    def __post_init__(self) -> None:
-        if self.differentiable and self.derivative is None:
-            raise ValueError(f"{self.name} is marked differentiable but has no derivative")
+    @property
+    def differentiable(self) -> bool:
+        return self.derivative is not None
 
     def __call__(self, t):
         out = self.fn(np.asarray(t, dtype=float))
@@ -111,12 +112,10 @@ class ScalarFunction:
         return cls(
             name=f"power:{p:g}",
             fn=fn,
-            c_x=deriv,
             derivative=deriv,
             superquadratic=p >= 2.0,
             nonnegative=True,
             convex=True,
-            differentiable=True,
         )
 
     @classmethod
@@ -128,12 +127,10 @@ class ScalarFunction:
         return cls(
             name=f"neg-const:{c:g}",
             fn=lambda t, c=c: np.full_like(np.asarray(t, dtype=float), -c),
-            c_x=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             derivative=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
             superquadratic=True,
             nonnegative=False,
             convex=True,
-            differentiable=True,
         )
 
 
@@ -159,11 +156,10 @@ def superquadratic_pointwise_check(f: ScalarFunction, x, y):
     Vectorized over arrays of nonnegative x, y; >= -1e-12 for every
     superquadratic catalog function.
     """
-    if f.c_x is None:
-        raise ValueError(f"{f.name} has no constant chooser C_x")
+    _require(f, "eq1")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return f(y) - f(x) - f.c_x(x) * (y - x) - f(np.abs(y - x))
+    return f(y) - f(x) - f.derivative(x) * (y - x) - f(np.abs(y - x))
 
 
 def scalar_popoviciu_check(f: ScalarFunction, x, y, z):
@@ -174,6 +170,7 @@ def scalar_popoviciu_check(f: ScalarFunction, x, y, z):
             <= f((x+y+z)/3) + (f(x)+f(y)+f(z))/3,
     vectorized; equality at f(t) = t.
     """
+    _require(f, "eq2")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -277,13 +274,27 @@ class PositiveMap:
     """A unital positive linear map: identity, pinching, or compression.
 
     ``apply`` takes one matrix or a (k, d, d) stack.  A compression may carry
-    one isometry per matrix of a stack: V is then (k, d, m).  Equality and
-    hashing go by identity: the ndarray field ``V`` is unhashable and
-    compares elementwise.
+    one isometry per matrix of a stack: V is then (k, d, m).  A compression
+    whose V is no isometry is refused at construction; as Phi(I) = V*V, every
+    map is then unital.  Equality and hashing go by identity: the ndarray
+    field ``V`` is unhashable and compares elementwise.
     """
 
     kind: str
     V: np.ndarray | None = None  # (d, m) or (k, d, m) isometry columns, m <= d
+
+    def __post_init__(self) -> None:
+        if self.kind != "compression":
+            return
+        V = np.asarray(self.V, dtype=complex)
+        if V.ndim not in (2, 3) or V.shape[-1] > V.shape[-2]:
+            raise ValueError("V must be d x m with m <= d, or a (k, d, m) stack")
+        gram_defect = np.max(np.abs(_adjoint(V) @ V - np.eye(V.shape[-1])))
+        if gram_defect > UNITAL_TOL:
+            raise ValueError(
+                f"compression requires V*V = I (defect {gram_defect:.3e})"
+            )
+        object.__setattr__(self, "V", V)
 
     @classmethod
     def identity(cls) -> "PositiveMap":
@@ -297,14 +308,6 @@ class PositiveMap:
     @classmethod
     def compression(cls, V) -> "PositiveMap":
         """A |-> V* A V for an isometry V (columns orthonormal), or a stack."""
-        V = np.asarray(V, dtype=complex)
-        if V.ndim not in (2, 3) or V.shape[-1] > V.shape[-2]:
-            raise ValueError("V must be d x m with m <= d, or a (k, d, m) stack")
-        gram_defect = np.max(np.abs(_adjoint(V) @ V - np.eye(V.shape[-1])))
-        if gram_defect > UNITAL_TOL:
-            raise ValueError(
-                f"compression requires V*V = I (defect {gram_defect:.3e})"
-            )
         return cls("compression", V=V)
 
     def output_dim(self, d: int) -> int:
@@ -322,10 +325,6 @@ class PositiveMap:
                 f"dimension mismatch: map expects dimension {self.V.shape[-2]}, got {d}"
             )
         return _adjoint(self.V) @ A @ self.V
-
-    def unitality_defect(self, d: int) -> float:
-        eye = np.eye(d, dtype=complex)
-        return float(np.max(np.abs(self.apply(eye) - np.eye(self.output_dim(d)))))
 
 
 def berezin_at(A, mu):
@@ -354,12 +353,6 @@ def berezin_at(A, mu):
 # index mu per matrix (an array of k slacks).  Both run the same code, so a
 # stack's slacks equal the per-matrix slacks bit for bit.
 
-def _require_unital(phi: PositiveMap, d: int) -> None:
-    defect = phi.unitality_defect(d)
-    if defect > UNITAL_TOL:
-        raise ValueError(f"non-unital map rejected (defect {defect:.3e})")
-
-
 def _berezin_of_map(phi: PositiveMap, X, mu):
     return berezin_at(phi.apply(X), mu)
 
@@ -376,21 +369,19 @@ def popoviciu_operator_check(f: ScalarFunction, phi: PositiveMap, A, B, C, mu):
     correction terms (three operator f-terms at the paired Berezin scalars,
     three scalar f(|...|) terms at the sixth-difference combinations).
     """
+    _require(f, "eq4")
     H = _as_hermitian(A)
     return _popoviciu_slack(f, phi, H, B, C, mu, functional_calculus(H, f))
 
 
 # The private cores below take A already Hermitian and its f(A): run_trials
-# computes both once per stack for every check.
+# computes both once per stack for every check.  Their callers have checked
+# f's hypotheses, and every PositiveMap is unital by construction.
 
 def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     B, C = _as_hermitian(B), _as_hermitian(C)
     if not (A.shape == B.shape == C.shape):
         raise ValueError("dimension mismatch among the three operators")
-    if not f.superquadratic:
-        raise ValueError(f"{f.name} is not superquadratic; hypothesis violated")
-    _require_unital(phi, A.shape[-1])
-
     fB, fC = functional_calculus(B, f), functional_calculus(C, f)
     lhs = berezin_at(phi.apply((fA + fB + fC) / 3.0), mu) + f(
         _berezin_of_map(phi, (A + B + C) / 3.0, mu)
@@ -422,17 +413,15 @@ def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu)
     single-point engine behind the refinement corollaries; it is a true
     inequality for every superquadratic catalog function.
     """
+    _require(f, "eq5")
     H = _as_hermitian(T)
     return _intermediate_slack(f, phi, H, x, mu, functional_calculus(H, f))
 
 
 def _intermediate_slack(f, phi, T, x, mu, fT):
-    if f.c_x is None:
-        raise ValueError(f"{f.name} has no constant chooser C_x")
-    _require_unital(phi, T.shape[-1])
     x = np.asarray(x, dtype=float)
     lhs = berezin_at(phi.apply(fT), mu)
-    linear = f.c_x(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
+    linear = f.derivative(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
     return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
 
@@ -442,12 +431,12 @@ def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
         -f(0) >= f((Phi(A))~(mu)) - (Phi(f(A)))~(mu)
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
+    _require(f, "eq16")
     H = _as_hermitian(A)
     return _c1_slack(f, phi, H, mu, functional_calculus(H, f))
 
 
 def _c1_slack(f, phi, A, mu, fA):
-    _require_unital(phi, A.shape[-1])
     a = _berezin_of_map(phi, A, mu)
     rhs = f(a) - berezin_at(phi.apply(fA), mu) + _f_abs_term(f, phi, A, a, mu)
     return _unstacked(-f(0.0) - rhs)
@@ -492,7 +481,6 @@ def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingRepo
 
 
 def _mapping_report(f, phi, A, fA) -> MappingReport:
-    _require_unital(phi, A.shape[-1])
     phi_A = phi.apply(A)
     phi_fA = phi.apply(fA)
     lhs = np.asarray(f(np.real(_diagonal(phi_A))), dtype=float)
@@ -538,7 +526,6 @@ class PropositionReport:
 def _proposition_inputs(phi: PositiveMap, A):
     """A checked Hermitian, and the real diagonal of Phi(A)."""
     A = _as_hermitian(A)
-    _require_unital(phi, A.shape[-1])
     return A, np.real(_diagonal(phi.apply(A)))
 
 
@@ -546,11 +533,6 @@ def _ber_sup_slack(g, phi: PositiveMap, A, diag):
     """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)), with diag from _proposition_inputs."""
     ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
     return _unstacked(ber - np.max(g(diag), axis=-1))
-
-
-def _meets(f: ScalarFunction, check: str) -> bool:
-    """Whether f has every flag that ``CHECK_REQUIRES[check]`` names."""
-    return all(getattr(f, flag) for flag in CHECK_REQUIRES[check])
 
 
 def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionReport:
@@ -571,7 +553,7 @@ def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionRep
     # P1 and P3 bound the same slack under different hypotheses.
     shared = slack(f) if p1_applies or p3_applies else None
     p1 = shared if p1_applies else None
-    p2 = slack(f.derivative) if _meets(f, "eq21") else None
+    p2 = slack(f.derivative) if "eq21" in checks_for(f) else None
     p3 = shared if p3_applies else None
 
     rejected: dict = {}
@@ -630,10 +612,9 @@ _MAP_KINDS = ("identity", "pinching", "compression")
 
 TRIAL_CHECKS = ("eq1", "eq2", "eq4", "eq5", "eq16", "eq21", "mapping")
 
-# The ScalarFunction flags each check's hypotheses need: the CLI builds a
-# function's default checks from them and rejects an incompatible request,
-# and eq21 (P2 of proposition_checks) runs only where its flags hold.  The
-# eq21 flags give f(0) = f'(0) = 0 and a convex f' on [0, inf).
+# The ScalarFunction flags each check's hypotheses need, read through
+# checks_for and _require alone.  The eq21 flags give f(0) = f'(0) = 0 and a
+# convex f' on [0, inf).
 CHECK_REQUIRES = {
     "eq1": ("superquadratic",),
     "eq2": ("convex",),
@@ -643,6 +624,28 @@ CHECK_REQUIRES = {
     "eq21": ("superquadratic", "nonnegative", "differentiable"),
     "mapping": (),
 }
+
+
+def _require(f: ScalarFunction, check: str) -> None:
+    """Raise unless f has every flag that ``CHECK_REQUIRES[check]`` names."""
+    missing = [flag for flag in CHECK_REQUIRES[check] if not getattr(f, flag)]
+    if missing:
+        raise ValueError(
+            f"check {check!r} requires a {' '.join(missing)} function; "
+            f"{f.name} violates: {missing[0]}"
+        )
+
+
+def checks_for(f: ScalarFunction, requested: Sequence[str] | None = None) -> tuple[str, ...]:
+    """The checks to run on f: every requested one, each of which must have
+    its hypotheses met, or by default every trial check whose hypotheses f
+    meets."""
+    if requested:
+        for check in requested:
+            _require(f, check)
+        return tuple(requested)
+    return tuple(c for c in TRIAL_CHECKS
+                 if all(getattr(f, flag) for flag in CHECK_REQUIRES[c]))
 
 # Trials of one dimension are evaluated in stacks of (k, d, d) complex
 # matrices of at most this many bytes (32 trials at d = 8).  A check keeps a
@@ -751,7 +754,8 @@ def run_trials(
     dimension then draw the rest of their inputs (see ``_draw_stack``) and
     are evaluated together, each check once per stack of at most
     ``_STACK_BYTES``, which gives every trial the slack it would get alone,
-    bit for bit.
+    bit for bit.  A check whose hypotheses f does not meet is refused, with
+    the message of ``checks_for``.
 
     The "mapping" check is special: condition (18) is a runtime-checked
     hypothesis, not an inequality, so trials where it fails contribute only
@@ -768,18 +772,15 @@ def run_trials(
     dims = tuple(int(d) for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be one or more dimensions >= 1, got {dims}")
+    for c in checks:
+        _require(f, c)
     trials = int(trials)
     root = np.random.SeedSequence(seed)
 
-    rngs = [np.random.default_rng(s) for s in root.spawn(trials)]
-    members = collections.defaultdict(list)
-    for t, rng in enumerate(rngs):
-        members[int(dims[int(rng.integers(len(dims)))])].append(t)
-
-    # One slack per trial and check, and whether it was recorded: eq21 records
-    # none where f fails its hypotheses, mapping none where condition (18)
-    # fails on finite values.  Overflow and invalid operations warn nothing
-    # here; they leave non-finite recorded slacks, rejected by name below.
+    # One slack per trial and check, and whether it was recorded: mapping
+    # records none where condition (18) fails on finite values.  Overflow and
+    # invalid operations warn nothing here; they leave non-finite recorded
+    # slacks, rejected by name below.
     slacks = {c: np.full(trials, np.nan) for c in checks}
     recorded = {c: np.zeros(trials, dtype=bool) for c in checks}
 
@@ -787,41 +788,56 @@ def run_trials(
         slacks[check][ix] = values
         recorded[check][ix] = where
 
-    cond18_pass = 0
     uses_fA = any(c in checks for c in ("eq4", "eq5", "eq16", "mapping"))
+
+    def evaluate(d: int, batch) -> int:
+        """Record the slacks of one stack of (trial, stream) pairs of
+        dimension d; return how many of them meet condition (18)."""
+        ix = [t for t, _ in batch]
+        g = _draw_stack([rng for _, rng in batch], map_kind, checks, d)
+        phi = _map_for_stack(map_kind, g.get("isometry"), d)
+        A = _as_hermitian(_psd_stack(g["A"], diag_only))
+        fA = functional_calculus(A, f) if uses_fA else None
+        mu = g["mu"]
+        if "eq1" in checks:
+            x, y = np.ascontiguousarray(g["eq1"].T)
+            record("eq1", ix, superquadratic_pointwise_check(f, x, y))
+        if "eq2" in checks:
+            x, y, z = np.ascontiguousarray(g["eq2"].T)
+            record("eq2", ix, scalar_popoviciu_check(f, x, y, z))
+        if "eq4" in checks:
+            B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
+            record("eq4", ix, _popoviciu_slack(f, phi, A, B, C, mu, fA))
+        if "eq5" in checks:
+            record("eq5", ix, _intermediate_slack(f, phi, A, g["eq5"], mu, fA))
+        if "eq16" in checks:
+            record("eq16", ix, _c1_slack(f, phi, A, mu, fA))
+        if "eq21" in checks:
+            # P2 of proposition_checks alone: P1 and P3 are not recorded here
+            _, diag = _proposition_inputs(phi, A)
+            record("eq21", ix, _ber_sup_slack(f.derivative, phi, A, diag))
+        if "mapping" not in checks:
+            return 0
+        mp = _mapping_report(f, phi, A, fA)
+        # (18) decided on values that overflowed is no failed hypothesis
+        sane = np.isfinite(mp.lhs_values).all(-1) & np.isfinite(mp.rhs_values).all(-1)
+        record("mapping", ix, -mp.identity_max_dev, mp.identity_checked | ~sane)
+        return int(np.count_nonzero(mp.identity_checked))
+
+    # Streams wait in one batch per dimension and a batch is evaluated as
+    # soon as it fills a stack, so memory stays bounded whatever the trial
+    # count.  Stream t is root.spawn's child t, made only when it is needed.
+    cond18_pass = 0
+    pending = collections.defaultdict(list)
     with np.errstate(over="ignore", invalid="ignore"):
-        for d, same_dim in sorted(members.items()):
-            size = max(1, _STACK_BYTES // (16 * d * d))
-            for lo in range(0, len(same_dim), size):
-                ix = same_dim[lo:lo + size]
-                g = _draw_stack([rngs[t] for t in ix], map_kind, checks, d)
-                phi = _map_for_stack(map_kind, g.get("isometry"), d)
-                A = _as_hermitian(_psd_stack(g["A"], diag_only))
-                fA = functional_calculus(A, f) if uses_fA else None
-                mu = g["mu"]
-                if "eq1" in checks:
-                    x, y = np.ascontiguousarray(g["eq1"].T)
-                    record("eq1", ix, superquadratic_pointwise_check(f, x, y))
-                if "eq2" in checks:
-                    x, y, z = np.ascontiguousarray(g["eq2"].T)
-                    record("eq2", ix, scalar_popoviciu_check(f, x, y, z))
-                if "eq4" in checks:
-                    B, C = (_psd_stack(g[key], diag_only) for key in ("B", "C"))
-                    record("eq4", ix, _popoviciu_slack(f, phi, A, B, C, mu, fA))
-                if "eq5" in checks:
-                    record("eq5", ix, _intermediate_slack(f, phi, A, g["eq5"], mu, fA))
-                if "eq16" in checks:
-                    record("eq16", ix, _c1_slack(f, phi, A, mu, fA))
-                if "eq21" in checks and _meets(f, "eq21"):
-                    # P2 of proposition_checks alone: P1 and P3 are not recorded here
-                    _, diag = _proposition_inputs(phi, A)
-                    record("eq21", ix, _ber_sup_slack(f.derivative, phi, A, diag))
-                if "mapping" in checks:
-                    mp = _mapping_report(f, phi, A, fA)
-                    cond18_pass += int(np.count_nonzero(mp.identity_checked))
-                    # (18) decided on values that overflowed is no failed hypothesis
-                    sane = np.isfinite(mp.lhs_values).all(-1) & np.isfinite(mp.rhs_values).all(-1)
-                    record("mapping", ix, -mp.identity_max_dev, mp.identity_checked | ~sane)
+        for t in range(trials):
+            rng = np.random.default_rng(np.random.SeedSequence(root.entropy, spawn_key=(t,)))
+            d = dims[int(rng.integers(len(dims)))]
+            pending[d].append((t, rng))
+            if len(pending[d]) == max(1, _STACK_BYTES // (16 * d * d)):
+                cond18_pass += evaluate(d, pending.pop(d))
+        for d, batch in sorted(pending.items()):
+            cond18_pass += evaluate(d, batch)
 
     for c in checks:
         bad = np.flatnonzero(recorded[c] & ~np.isfinite(slacks[c]))

@@ -422,10 +422,10 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, command):
 
 def test_memory_error_of_a_command_exits_2(monkeypatch, capsys, tmp_path):
     # A refused allocation inside a command becomes one error line, not a traceback.
-    def refuse(config):
+    def refuse(*args):
         raise MemoryError("Unable to allocate 711. PiB for an array")
 
-    monkeypatch.setattr(berezin.cli.RunConfig, "grid", refuse)
+    monkeypatch.setattr(berezin.closed_form, "sample_range", refuse)
     monkeypatch.chdir(tmp_path)
     code = berezin.cli.main(["range", "--space", "hardy", "--symbol", "elliptic", "--alpha=0.5"])
     assert code == 2
@@ -516,6 +516,7 @@ sys.exit(cli.main(sys.argv[1:]))
     ["ineq", "--help"],
     ["verify", "--suite", "nonsense"],
     ["ineq", "--check", "eq99"],
+    ["ineq", "--map", "bogus"],
 ])
 def test_lazy_choices_print_as_eager_ones(tmp_path, argv):
     lazy = run_cli(argv, tmp_path)
@@ -526,6 +527,11 @@ def test_lazy_choices_print_as_eager_ones(tmp_path, argv):
         assert lazy.stderr.splitlines()[-1] == (
             "berezin ineq: error: argument --check: invalid choice: 'eq99' "
             "(choose from 'eq1', 'eq2', 'eq4', 'eq5', 'eq16', 'eq21', 'mapping')"
+        )
+    if argv[-1] == "bogus":
+        assert lazy.stderr.splitlines()[-1] == (
+            "berezin ineq: error: argument --map: invalid choice: 'bogus' "
+            "(choose from 'identity', 'pinching', 'compression')"
         )
 
 
@@ -551,3 +557,31 @@ def test_cli_and_package_import_no_package_module_at_module_level():
             found += [f"{name}:{node.lineno} {m}" for m in modules
                       if m.split(".")[0] == "berezin"]
     assert not found
+
+
+def _parsed_modules():
+    root = pathlib.Path(berezin.__file__).parent
+    return [(path.name, ast.parse(path.read_text(), str(path)))
+            for path in sorted(root.glob("*.py"))]
+
+
+def test_only_inequalities_names_check_requires():
+    # Each check's hypotheses are read through inequalities.checks_for, so
+    # the CLI and the library cannot disagree on what a check needs.
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name", ast.Constant: "value"}
+    named = [f"{name}:{getattr(node, 'lineno', '?')}"
+             for name, tree in _parsed_modules() if name != "inequalities.py"
+             for node in ast.walk(tree)
+             if getattr(node, field.get(type(node), ""), None) == "CHECK_REQUIRES"]
+    assert not named
+
+
+def test_cli_imports_no_dataclasses():
+    # dataclasses pulls in inspect, a visible share of a --help process.
+    imported = set()
+    for node in ast.walk(dict(_parsed_modules())["cli.py"]):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert "dataclasses" not in imported

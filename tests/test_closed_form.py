@@ -173,3 +173,22 @@ def test_model_transform_matches_quotient_form():
         s = np.abs(z) ** 2
         expected = z * (1 - s ** (n - 1)) / (1 - s**n)
         np.testing.assert_allclose(cf.model_transform(n, z), expected, rtol=1e-12)
+
+
+@pytest.mark.parametrize("r_steps, theta_steps", [(1, 8), (2, 0)])
+def test_regular_grid_needs_two_radii_and_one_angle(r_steps, theta_steps):
+    with pytest.raises(ValueError, match="at least 2 radii and 1 angle"):
+        cf.PolarGrid.regular(r_steps, theta_steps, 0.9)
+
+
+def test_regular_grid_too_large_is_refused_before_allocating():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="a 100000000 x 100000000 grid needs 142 PiB"):
+            cf.PolarGrid.regular(10**8, 10**8, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

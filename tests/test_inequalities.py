@@ -22,16 +22,18 @@ def test_power_catalog_flags():
 def test_neg_const_catalog():
     f = ineq.ScalarFunction.neg_const()
     np.testing.assert_allclose(f(3.7), -1.5)
-    np.testing.assert_allclose(f.c_x(2.0), 0.0)
+    np.testing.assert_allclose(f.derivative(2.0), 0.0)
     assert f.superquadratic and not f.nonnegative
     with pytest.raises(ValueError):
         ineq.ScalarFunction.neg_const(0.5)
 
 
 def test_differentiable_function_needs_a_derivative():
-    with pytest.raises(ValueError, match="no derivative"):
-        ineq.ScalarFunction("square", fn=np.square, superquadratic=True,
-                            nonnegative=True, differentiable=True)
+    plain = ineq.ScalarFunction("square", fn=np.square, superquadratic=True, nonnegative=True)
+    assert not plain.differentiable
+    assert ineq.ScalarFunction("square", fn=np.square, derivative=lambda t: 2 * t).differentiable
+    with pytest.raises(TypeError):
+        ineq.ScalarFunction("square", fn=np.square, differentiable=True)
 
 
 def test_parse_function():
@@ -116,18 +118,21 @@ def test_positive_maps_apply_and_unitality():
     rng = np.random.default_rng(64)
     a = ineq.random_psd(rng, 4)
 
+    def unitality_defect(phi):
+        return np.max(np.abs(phi.apply(np.eye(4)) - np.eye(phi.output_dim(4))))
+
     ident = ineq.PositiveMap.identity()
     np.testing.assert_allclose(ident.apply(a), a)
-    assert ident.unitality_defect(4) <= 1e-12
+    assert unitality_defect(ident) <= 1e-12
 
     pinch = ineq.PositiveMap.pinching()
     np.testing.assert_array_equal(pinch.apply(a), np.diag(np.diag(a)))
-    assert pinch.unitality_defect(4) <= 1e-12
+    assert unitality_defect(pinch) <= 1e-12
 
     v = ineq.random_isometry(rng, 4, 2)
     comp = ineq.PositiveMap.compression(v)
     np.testing.assert_allclose(comp.apply(a), v.conj().T @ a @ v, atol=1e-13)
-    assert comp.unitality_defect(4) <= 1e-12
+    assert unitality_defect(comp) <= 1e-12
 
 
 def test_singleton_pinching_extracts_diagonal():
@@ -140,6 +145,13 @@ def test_compression_requires_isometry():
     v = np.ones((3, 2))
     with pytest.raises(ValueError):
         ineq.PositiveMap.compression(v)
+
+
+def test_non_isometric_compression_is_rejected_at_construction():
+    with pytest.raises(ValueError, match=r"requires V\*V = I"):
+        ineq.PositiveMap("compression", V=2 * np.eye(2))
+    with pytest.raises(ValueError, match="V must be"):
+        ineq.PositiveMap("compression")
 
 
 def test_berezin_at_bounds():
@@ -313,11 +325,79 @@ def test_run_trials_mapping_diag_only():
 
 
 def test_run_trials_skipped_checks_recorded():
-    f = ineq.ScalarFunction.neg_const()
-    rep = ineq.run_trials(f, "identity", checks=("eq21",), trials=10, seed=5)
-    assert rep.skipped == ("eq21",)
+    # 2 x 2 trials fail condition (18), so the mapping check records none.
+    f = ineq.ScalarFunction.power(2)
+    rep = ineq.run_trials(f, "identity", checks=("mapping",), trials=10, dims=(2,), seed=5)
+    assert rep.skipped == ("mapping",)
     with pytest.raises(ValueError):
         rep.min_slack()
+
+
+def _unmet_cases():
+    """(function, check) for every trial check but mapping and each function
+    here that lacks one of its flags."""
+    functions = [ineq.ScalarFunction.power(1.5), ineq.ScalarFunction.neg_const(),
+                 ineq.ScalarFunction("bent", fn=np.abs)]
+    return [pytest.param(f, c, id=f"{f.name}-{c}")
+            for c in ineq.TRIAL_CHECKS if c != "mapping"
+            for f in functions if c not in ineq.checks_for(f)]
+
+
+def _public_check(f, check):
+    phi = ineq.PositiveMap.identity()
+    a = np.eye(2)
+    calls = {
+        "eq1": lambda: ineq.superquadratic_pointwise_check(f, 1.0, 2.0),
+        "eq2": lambda: ineq.scalar_popoviciu_check(f, 1.0, 2.0, 3.0),
+        "eq4": lambda: ineq.popoviciu_operator_check(f, phi, a, a, a, 0),
+        "eq5": lambda: ineq.intermediate_refinement_check(f, phi, a, 1.0, 0),
+        "eq16": lambda: ineq.corollary_c1_check(f, phi, a, 0),
+        "eq21": lambda: ineq.proposition_checks(f, phi, a).p2_slack,
+    }
+    return calls[check]()
+
+
+@pytest.mark.parametrize("f, check", _unmet_cases())
+def test_unmet_hypotheses_raise_the_cli_message(f, check):
+    with pytest.raises(ValueError) as cli_error:
+        ineq.checks_for(f, [check])
+    message = str(cli_error.value)
+    assert message.startswith(f"check {check!r} requires a ")
+    with pytest.raises(ValueError) as trials_error:
+        ineq.run_trials(f, "identity", checks=(check,), trials=3)
+    assert str(trials_error.value) == message
+    if check == "eq21":
+        # proposition_checks reports P2 as not applying instead
+        assert _public_check(f, check) is None
+        return
+    with pytest.raises(ValueError) as check_error:
+        _public_check(f, check)
+    assert str(check_error.value) == message
+
+
+def test_checks_for_defaults_to_every_check_whose_hypotheses_hold():
+    assert ineq.checks_for(ineq.ScalarFunction.power(2)) == ineq.TRIAL_CHECKS
+    assert ineq.checks_for(ineq.ScalarFunction.power(1.5)) == ("eq2", "mapping")
+    assert ineq.checks_for(ineq.ScalarFunction.neg_const()) == (
+        "eq1", "eq2", "eq4", "eq5", "eq16", "mapping")
+    assert ineq.checks_for(ineq.ScalarFunction.power(2), ["eq16"]) == ("eq16",)
+
+
+def test_run_trials_memory_does_not_grow_with_the_trial_count():
+    import tracemalloc
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            ineq.run_trials(ineq.ScalarFunction.power(2), "identity", ("eq16",),
+                            trials=trials, dims=(8,), seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(400)  # first-call caches are no per-trial cost
+    small = peak(400)
+    assert (peak(2400) - small) / 2000 < 100
 
 
 @pytest.mark.parametrize("p, check", [(400, "eq4"), (400, "eq16"), (400, "mapping"),
@@ -414,7 +494,6 @@ def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=Fal
     return mins, argmin, skipped, pass_rate
 
 
-_CHECK_SETS = [(c,) for c in ineq.TRIAL_CHECKS] + [ineq.TRIAL_CHECKS]
 _DIM_SETS = [(2,), (8,), (2, 3, 4, 5, 6, 7, 8)]
 
 
@@ -422,7 +501,7 @@ _DIM_SETS = [(2,), (8,), (2, 3, 4, 5, 6, 7, 8)]
 @pytest.mark.parametrize("spec", ["power:2", "power:3", "power:2.5", "neg-const"])
 def test_run_trials_equals_per_trial_loop(spec, map_kind):
     f = ineq.parse_function(spec)
-    for checks in _CHECK_SETS:
+    for checks in [(c,) for c in ineq.checks_for(f)] + [ineq.checks_for(f)]:
         for dims in _DIM_SETS:
             for diag_only in (False, True):
                 rep = ineq.run_trials(f, map_kind, checks, 24, dims, 3, diag_only)
