@@ -151,7 +151,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify as verify_mod
-    names = verify_mod.suite_names() if args.all else [args.suite]
+    names = list(verify_mod.SUITES) if args.all else [args.suite]
     all_results = []
     for name in names:
         for res in verify_mod.run_suite(name):

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import symbols as sym
-from .kernels import BERGMAN, HARDY, SpaceSpec
+from .kernels import SpaceSpec
 
 __all__ = [
     "DiskPoint",
@@ -26,6 +26,7 @@ __all__ = [
     "BoundaryLimit",
     "hardy_transform",
     "bergman_transform",
+    "transform",
     "blaschke_real_imag",
     "conjugation_partner",
     "boundary_limit",
@@ -146,6 +147,19 @@ def bergman_transform(symbol: sym.SymbolSpec, z):
     return hardy_transform(symbol, z) ** 2
 
 
+def transform(space: SpaceSpec, symbol: sym.SymbolSpec, z):
+    """The closed-form transform of ``space`` at z: Hardy or Bergman.
+
+    The model spaces have no composition closed form here; the
+    matrix-oracle module handles them.
+    """
+    if space.kind == "hardy":
+        return hardy_transform(symbol, z)
+    if space.kind == "bergman":
+        return bergman_transform(symbol, z)
+    raise ValueError(f"closed forms exist for hardy/bergman spaces, got {space.label}")
+
+
 def blaschke_real_imag(alpha, z):
     """Real and imaginary parts of the Bergman transform for a Blaschke symbol.
 
@@ -206,12 +220,9 @@ def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> Bo
     samples spread by more than 1e-2 is flagged as non-convergent; the value
     is still reported.
     """
-    transform = hardy_transform if space.kind == "hardy" else bergman_transform
-    if space.kind not in ("hardy", "bergman"):
-        raise ValueError("boundary limits are defined for hardy/bergman spaces")
     radii = 1.0 - 10.0 ** (-np.arange(2.0, 7.0))
     zs = radii * np.exp(1j * float(theta))
-    samples = np.abs(transform(symbol, zs))
+    samples = np.abs(transform(space, symbol, zs))
     v1, v2, v3 = samples[-3:]
     denom = v3 - 2.0 * v2 + v1
     if abs(denom) > 1e-300:
@@ -223,20 +234,8 @@ def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> Bo
 
 
 def sample_range(space: SpaceSpec, symbol: sym.SymbolSpec, grid: PolarGrid) -> RangeSample:
-    """Evaluate the closed-form transform at every grid point.
-
-    Only the Hardy and Bergman tags have composition closed forms here; the
-    model spaces are handled by the matrix-oracle module.
-    """
-    if space.kind == "hardy":
-        values = hardy_transform(symbol, grid.mesh())
-    elif space.kind == "bergman":
-        values = bergman_transform(symbol, grid.mesh())
-    else:
-        raise ValueError(
-            f"sample_range supports hardy/bergman spaces, got {space.label}"
-        )
-    return RangeSample(space, symbol, grid, values)
+    """Evaluate the closed-form ``transform`` at every grid point."""
+    return RangeSample(space, symbol, grid, transform(space, symbol, grid.mesh()))
 
 
 def model_transform(n: int, z):

@@ -302,8 +302,7 @@ class ShapeClass:
     """Classification of a planar sample: POINT, SEGMENT or REGION2D."""
 
     tag: str
-    endpoints: np.ndarray | None = None  # SEGMENT: (2, 2); POINT: (1, 2)
-    hull: np.ndarray | None = None  # REGION2D
+    vertices: np.ndarray  # POINT: (1, 2) centre; SEGMENT: (2, 2) ends; REGION2D: hull
 
 
 def classify_shape(points, tol: float | None = None) -> ShapeClass:
@@ -324,10 +323,10 @@ def _classify(pts, hull, diameter, tol: float) -> ShapeClass:
     diam, (p0, p1) = diameter
     if diam <= tol:
         center = pts.mean(axis=0, keepdims=True)
-        return ShapeClass("POINT", endpoints=center)
+        return ShapeClass("POINT", center)
     if np.max(_segment_distances(pts, p0, p1)) <= tol:
-        return ShapeClass("SEGMENT", endpoints=np.vstack([p0, p1]))
-    return ShapeClass("REGION2D", hull=hull)
+        return ShapeClass("SEGMENT", np.vstack([p0, p1]))
+    return ShapeClass("REGION2D", hull)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -340,9 +339,6 @@ class ConvexityReport:
     sample_count: int
 
     def to_json_dict(self) -> dict:
-        hull = self.shape.hull
-        if hull is None:
-            hull = self.shape.endpoints
         return {
             "shape": self.shape.tag,
             "verdict": self.verdict,
@@ -350,7 +346,7 @@ class ConvexityReport:
             "max_gap": self.max_gap,
             "tolerance": self.tolerance,
             "sample_count": self.sample_count,
-            "hull": [[float(x), float(y)] for x, y in np.atleast_2d(hull)],
+            "hull": [[float(x), float(y)] for x, y in self.shape.vertices],
         }
 
 
@@ -684,7 +680,7 @@ def convexity_report(points, tol: float | None = None) -> ConvexityReport:
         return ConvexityReport(shape, "CONVEX", 1.0, 0.0, tol, n_samples)
 
     if shape.tag == "SEGMENT":
-        p0, p1 = shape.endpoints
+        p0, p1 = shape.vertices
         direction = (p1 - p0) / np.linalg.norm(p1 - p0)
         proj = np.sort((pts - p0) @ direction)
         max_gap = float(np.max(np.diff(proj))) if len(proj) > 1 else 0.0

@@ -232,6 +232,12 @@ def _eigh(A: np.ndarray):
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
 
 
+def _recompose(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """U diag(w) U* for eigenvectors U = v, made exactly Hermitian."""
+    out = (v * w[..., None, :]) @ _adjoint(v)
+    return 0.5 * (out + _adjoint(out))
+
+
 def functional_calculus(A, f: ScalarFunction | Callable) -> np.ndarray:
     """f(A) = U diag(f(lambda_i)) U* for PSD Hermitian A.
 
@@ -251,9 +257,7 @@ def functional_calculus(A, f: ScalarFunction | Callable) -> np.ndarray:
             f"(min eigenvalue {low.flat[int(np.argmax(bad))]:.3e})"
         )
     w = np.clip(w, 0.0, None)
-    fw = np.asarray(f(w), dtype=float)
-    out = (v * fw[..., None, :]) @ _adjoint(v)
-    return 0.5 * (out + _adjoint(out))
+    return _recompose(v, np.asarray(f(w), dtype=float))
 
 
 def abs_op(A) -> np.ndarray:
@@ -263,10 +267,11 @@ def abs_op(A) -> np.ndarray:
     positivity requirement): this is what restores positivity in
     expressions like |X - sI|.
     """
-    M = _as_hermitian(A)
-    w, v = _eigh(M)
-    out = (v * np.abs(w)[..., None, :]) @ _adjoint(v)
-    return 0.5 * (out + _adjoint(out))
+    w, v = _eigh(_as_hermitian(A))
+    return _recompose(v, np.abs(w))
+
+
+_MAP_KINDS = ("identity", "pinching", "compression")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -274,17 +279,22 @@ class PositiveMap:
     """A unital positive linear map: identity, pinching, or compression.
 
     ``apply`` takes one matrix or a (k, d, d) stack.  A compression may carry
-    one isometry per matrix of a stack: V is then (k, d, m).  A compression
-    whose V is no isometry is refused at construction; as Phi(I) = V*V, every
-    map is then unital.  Equality and hashing go by identity: the ndarray
-    field ``V`` is unhashable and compares elementwise.
+    one isometry per matrix of a stack: V is then (k, d, m).  An unknown
+    kind, a V given to another kind, and a compression whose V is no
+    isometry are refused at construction; as Phi(I) = V*V, every map is then
+    unital.  Equality and hashing go by identity: the ndarray field ``V`` is
+    unhashable and compares elementwise.
     """
 
     kind: str
     V: np.ndarray | None = None  # (d, m) or (k, d, m) isometry columns, m <= d
 
     def __post_init__(self) -> None:
+        if self.kind not in _MAP_KINDS:
+            raise ValueError(f"unknown map kind: {self.kind!r}")
         if self.kind != "compression":
+            if self.V is not None:
+                raise ValueError(f"{self.kind!r} map takes no V")
             return
         V = np.asarray(self.V, dtype=complex)
         if V.ndim not in (2, 3) or V.shape[-1] > V.shape[-2]:
@@ -462,12 +472,6 @@ class MappingReport:
     lhs_values: np.ndarray  # f applied to diag of Phi(A)
     rhs_values: np.ndarray  # diag of Phi(f(A))
 
-    @property
-    def identity_holds(self):
-        return _unstacked(
-            np.logical_and(self.identity_checked, self.identity_max_dev <= CONDITION18_TOL)
-        )
-
 
 def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingReport:
     """Check condition (18) f((Phi(A))~(mu)) >= (Phi(f(A)))~(mu) at every index,
@@ -607,8 +611,6 @@ def random_isometry(rng, d: int, m: int) -> np.ndarray:
     q, _ = np.linalg.qr(_gaussians(rng, d))
     return q[..., :m]
 
-
-_MAP_KINDS = ("identity", "pinching", "compression")
 
 TRIAL_CHECKS = ("eq1", "eq2", "eq4", "eq5", "eq16", "eq21", "mapping")
 
@@ -775,25 +777,34 @@ def run_trials(
     for c in checks:
         _require(f, c)
     trials = int(trials)
+    if trials < 0:
+        raise ValueError("trials must be >= 0")
     root = np.random.SeedSequence(seed)
 
-    # One slack per trial and check, and whether it was recorded: mapping
-    # records none where condition (18) fails on finite values.  Overflow and
-    # invalid operations warn nothing here; they leave non-finite recorded
-    # slacks, rejected by name below.
-    slacks = {c: np.full(trials, np.nan) for c in checks}
-    recorded = {c: np.zeros(trials, dtype=bool) for c in checks}
+    # Per check, the least recorded slack as (slack, trial), and the earliest
+    # non-finite one as (trial, slack): mapping records none where condition
+    # (18) fails on finite values.  Overflow and invalid operations warn
+    # nothing here; they leave non-finite recorded slacks, rejected by name
+    # below.  Stacks arrive out of trial order, so equal slacks go to the
+    # earliest trial; within a stack the trials ascend.
+    least, non_finite = {}, {}
 
-    def record(check, ix, values, where=True):
-        slacks[check][ix] = values
-        recorded[check][ix] = where
+    def record(check, ix, values):
+        values = np.asarray(values, dtype=float)
+        finite = np.isfinite(values)
+        if not finite.all():
+            j = int(np.argmax(~finite))
+            non_finite[check] = min(non_finite.get(check, (trials, 0.0)), (int(ix[j]), values[j]))
+        elif values.size:
+            j = int(np.argmin(values))
+            least[check] = min(least.get(check, (np.inf, trials)), (float(values[j]), int(ix[j])))
 
     uses_fA = any(c in checks for c in ("eq4", "eq5", "eq16", "mapping"))
 
     def evaluate(d: int, batch) -> int:
         """Record the slacks of one stack of (trial, stream) pairs of
         dimension d; return how many of them meet condition (18)."""
-        ix = [t for t, _ in batch]
+        ix = np.array([t for t, _ in batch])
         g = _draw_stack([rng for _, rng in batch], map_kind, checks, d)
         phi = _map_for_stack(map_kind, g.get("isometry"), d)
         A = _as_hermitian(_psd_stack(g["A"], diag_only))
@@ -821,7 +832,8 @@ def run_trials(
         mp = _mapping_report(f, phi, A, fA)
         # (18) decided on values that overflowed is no failed hypothesis
         sane = np.isfinite(mp.lhs_values).all(-1) & np.isfinite(mp.rhs_values).all(-1)
-        record("mapping", ix, -mp.identity_max_dev, mp.identity_checked | ~sane)
+        kept = mp.identity_checked | ~sane
+        record("mapping", ix[kept], -mp.identity_max_dev[kept])
         return int(np.count_nonzero(mp.identity_checked))
 
     # Streams wait in one batch per dimension and a batch is evaluated as
@@ -840,16 +852,14 @@ def run_trials(
             cond18_pass += evaluate(d, batch)
 
     for c in checks:
-        bad = np.flatnonzero(recorded[c] & ~np.isfinite(slacks[c]))
-        if bad.size:
+        if c in non_finite:
+            t, value = non_finite[c]
             raise ValueError(
-                f"check {c} gave a non-finite slack ({slacks[c][bad[0]]}) at trial {bad[0]} "
+                f"check {c} gave a non-finite slack ({value}) at trial {t} "
                 f"for {f.name}: a value overflowed or was undefined"
             )
-    # np.argmin keeps the first of equal minima, the earliest trial.
-    argmin = {c: int(np.argmin(np.where(recorded[c], slacks[c], np.inf)))
-              if np.any(recorded[c]) else -1 for c in checks}
-    mins = {c: float(slacks[c][t]) for c, t in argmin.items() if t >= 0}
+    argmin = {c: least[c][1] if c in least else -1 for c in checks}
+    mins = {c: least[c][0] for c in checks if c in least}
     pass_rate = cond18_pass / trials if "mapping" in checks and trials else None
     skipped = tuple(c for c in checks if c not in mins)
     return TrialReport(

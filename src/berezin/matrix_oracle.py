@@ -195,16 +195,12 @@ def l2_berezin_set(operator) -> np.ndarray:
 
     The l2 kernels are the standard basis vectors, so the Berezin transform
     at index j is exactly the (j, j) entry whatever the off-diagonal part
-    looks like.  Accepts a square matrix or a bare diagonal vector; order of
-    first appearance is preserved.
+    looks like.  Order of first appearance is preserved.
     """
     arr = np.asarray(operator, dtype=complex)
-    if arr.ndim == 2:
-        if arr.shape[0] != arr.shape[1]:
-            raise ValueError("operator matrix must be square")
-        diag = np.diag(arr).copy()
-    else:
-        diag = np.atleast_1d(arr).ravel()
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValueError("operator matrix must be square")
+    diag = np.diag(arr)
     if diag.size == 0:
         raise ValueError("empty diagonal")
     _, first = np.unique(diag, return_index=True)

@@ -72,13 +72,6 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(body, indent=2, sort_keys=True) + "\n")
 
 
-def _svg_coords(xy: np.ndarray, half_width: float, size: int = 800):
-    scale = size / (2.0 * half_width)
-    px = (xy[:, 0] + half_width) * scale
-    py = (half_width - xy[:, 1]) * scale
-    return px, py
-
-
 def write_svg(path, points, title: str = "Berezin range") -> None:
     """Scatter plot of planar points in a fixed 800x800 viewport.
 
@@ -105,8 +98,7 @@ def write_svg(path, points, title: str = "Berezin range") -> None:
         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{scale:.3f}" '
         'fill="none" stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>',
     ]
-    px, py = _svg_coords(xy, half, size)
-    coords = np.column_stack([px, py])
+    coords = np.column_stack([(xy[:, 0] + half) * scale, (half - xy[:, 1]) * scale])
     # One % per block of points: the bytes of a per-point f"{x:.3f}".
     marker = '<circle cx="%.3f" cy="%.3f" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>\n'
 

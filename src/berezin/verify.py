@@ -27,7 +27,7 @@ from . import kernels
 from . import matrix_oracle as oracle
 from . import symbols
 
-__all__ = ["CheckResult", "SUITES", "run_suite", "suite_names"]
+__all__ = ["CheckResult", "SUITES", "run_suite"]
 
 # Root seed for every randomized check below; fixed so runs are reproducible.
 _SEED = 1729
@@ -341,11 +341,7 @@ def suite_oracle() -> list[CheckResult]:
     worst_512 = 0.0
     for space in (kernels.HARDY, kernels.BERGMAN):
         for symb in catalog:
-            closed = (
-                cf.hardy_transform(symb, ws)
-                if space.kind == "hardy"
-                else cf.bergman_transform(symb, ws)
-            )
+            closed = cf.transform(space, symb, ws)
             # One build per pair: its leading block is the N = 256 build, bit for bit.
             op = oracle.composition_matrix(space, symb, 512)
             dev = [float(np.max(np.abs(oracle.berezin_grid(m, space, ws) - closed)))
@@ -459,10 +455,6 @@ SUITES = {
     "oracle": suite_oracle,
     "inequalities": suite_inequalities,
 }
-
-
-def suite_names() -> list[str]:
-    return list(SUITES)
 
 
 def run_suite(name: str) -> list[CheckResult]:

@@ -153,8 +153,12 @@ def test_sample_range_layout_and_berezin_number():
 
 def test_sample_range_rejects_model_space():
     grid = cf.PolarGrid.regular(5, 4, 0.9)
-    with pytest.raises(ValueError):
-        cf.sample_range(kernels.model_space(3), symbols.elliptic(0.5), grid)
+    space, symbol = kernels.model_space(3), symbols.elliptic(0.5)
+    for reject in (lambda: cf.sample_range(space, symbol, grid),
+                   lambda: cf.boundary_limit(space, symbol, 0.0),
+                   lambda: cf.transform(space, symbol, 0.5j)):
+        with pytest.raises(ValueError, match=r"hardy/bergman spaces, got model\(3\)"):
+            reject()
 
 
 def test_model_transform_worked_values():

@@ -154,6 +154,17 @@ def test_non_isometric_compression_is_rejected_at_construction():
         ineq.PositiveMap("compression")
 
 
+@pytest.mark.parametrize("kind, V, message", [
+    ("bogus", None, "unknown map kind: 'bogus'"),
+    ("identity", np.eye(2), "'identity' map takes no V"),
+    ("pinching", np.eye(2), "'pinching' map takes no V"),
+])
+def test_positive_map_refuses_an_unknown_kind_or_a_stray_isometry(kind, V, message):
+    with pytest.raises(ValueError) as err:
+        ineq.PositiveMap(kind, V=V)
+    assert str(err.value) == message
+
+
 def test_berezin_at_bounds():
     a = np.diag([1.0, 2.0])
     np.testing.assert_allclose(ineq.berezin_at(a, 1), 2.0)
@@ -230,7 +241,7 @@ def test_mapping_identity_on_diagonals():
     a = np.diag([0.5, 2.0, 1.0])
     report = ineq.berezin_mapping_check(f, phi, a)
     assert report.condition18_failing == ()
-    assert report.identity_holds
+    assert report.identity_checked and report.identity_max_dev <= 1e-10
     assert report.sets_equal
     np.testing.assert_allclose(report.lhs_values, [0.125, 8.0, 1.0], atol=1e-12)
 
@@ -397,7 +408,7 @@ def test_run_trials_memory_does_not_grow_with_the_trial_count():
 
     peak(400)  # first-call caches are no per-trial cost
     small = peak(400)
-    assert (peak(2400) - small) / 2000 < 100
+    assert (peak(2400) - small) / 2000 < 1
 
 
 @pytest.mark.parametrize("p, check", [(400, "eq4"), (400, "eq16"), (400, "mapping"),
@@ -556,6 +567,11 @@ def test_run_trials_zero_trials_skips_every_check():
 def test_run_trials_rejects_unknown_map():
     with pytest.raises(ValueError, match="unknown map kind"):
         ineq.run_trials(ineq.ScalarFunction.power(2), "transpose", trials=5)
+
+
+def test_run_trials_rejects_a_negative_trial_count():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        ineq.run_trials(ineq.ScalarFunction.power(2), "identity", ("eq16",), trials=-1)
 
 
 @pytest.mark.parametrize("dims", [(), (0,), (3, -1)])
