@@ -8,6 +8,7 @@ value via a plain quadratic form.
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
 
@@ -18,6 +19,7 @@ __all__ = [
     "model_space",
     "normalized_kernel_matrix",
     "disk_points",
+    "as_size",
 ]
 
 
@@ -53,6 +55,18 @@ def model_space(n: int) -> SpaceSpec:
     return SpaceSpec("model", int(n))
 
 
+def as_size(value, name: str) -> int:
+    """``value`` as a Python int, read with ``operator.index``.
+
+    Python and numpy integers pass; a float such as 2.5 or inf raises
+    ``ValueError`` naming ``name`` instead of being truncated.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def disk_points(ws) -> np.ndarray:
     """``ws`` as a 1-D complex array, checked to lie in the open unit disk.
 
@@ -79,7 +93,7 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
     Each column has unit Euclidean norm up to the geometric truncation tail
     |w|^(2N).
     """
-    N = int(truncation)
+    N = as_size(truncation, "truncation")
     if N < 1:
         raise ValueError("truncation must be >= 1")
     if space.kind == "model" and N != space.n:

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import symbols as sym
 from .closed_form import PolarGrid, RangeSample
-from .kernels import SpaceSpec, disk_points, model_space, normalized_kernel_matrix
+from .kernels import SpaceSpec, as_size, disk_points, model_space, normalized_kernel_matrix
 
 __all__ = [
     "OperatorMatrix",
@@ -29,8 +29,11 @@ __all__ = [
 ]
 
 # Bytes of one complex kernel block in berezin_grid; the grid is evaluated in
-# chunks of points so its working set stays two blocks whatever its size.
-_CHUNK_BYTES = 2**24
+# chunks of points so its working set stays two blocks whatever its size.  At
+# 4 MiB the strided running product in normalized_kernel_matrix works on
+# cache-sized blocks, and verify's model suite (25,600 points at M <= 8) still
+# takes its points in one chunk.
+_CHUNK_BYTES = 2**22
 
 # berezin_grid keeps the first M(w) rows at each point w: the smallest
 # multiple of _ROW_STEP (at most N) whose dropped kernel tail moves the value
@@ -42,6 +45,15 @@ _TAIL_BUDGET = 2.0**-60
 # the square root of the smallest normal double: a product of two parts that
 # are kept is then normal, so its GEMMs never meet subnormal operands.
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
+
+# composition_matrix writes each doubling's product, and the Bergman weights,
+# in row blocks of about _BUILD_BLOCK_BYTES of the N x N matrix.  Blocks start
+# at multiples of _BUILD_ROW_ALIGN rows and none has a single row (numpy takes
+# a one-row product through GEMV), so every row meets the same GEMM
+# micro-kernel as in one whole product and the matrix's bytes do not depend on
+# the blocking.
+_BUILD_BLOCK_BYTES = 2**21
+_BUILD_ROW_ALIGN = 64
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,15 +92,21 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     ``_FLUSH_BELOW`` (about 1.5e-154) of the symbol series, of each phi^k and
     of each new block are set to zero; entries move by about 1e-151 at most
     (3e-151 for Blaschke alpha = 0.3i at N = 1024).
+
+    Each product, and the Bergman reweighting, is written into the matrix in
+    row blocks of about 2 MiB (``_row_blocks``), so the working set is the
+    N x N matrix plus a few such blocks: about 17 MiB at N = 1024, and one
+    85 MB matrix plus 2 MiB blocks at N = 2304.
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
-    N = int(N)
+    N = as_size(N, "truncation N")
     if N < 1:
         raise ValueError("truncation must be >= 1")
     base = _flush_tiny(sym.symbol_series(symbol, N))
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
+    blocks = _row_blocks(N)
     k = 1
     while k < N:
         m = min(k, N - k)
@@ -96,13 +114,28 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
         # toeplitz[i, j] = power[i - j] for i >= j, else 0
         padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
         toeplitz = sliding_window_view(padded[::-1], N)[::-1]
-        cols[:, k:k + m] = toeplitz @ cols[:, :m]
-        _flush_tiny(cols[:, k:k + m])
+        for rows in blocks:
+            out = cols[rows, k:k + m]
+            np.matmul(toeplitz[rows], cols[:, :m], out=out)
+            _flush_tiny(out)
         k += m
     if space.kind == "bergman":
         w = np.sqrt(np.arange(1, N + 1, dtype=float))
-        cols = cols * (w[None, :] / w[:, None])
+        for rows in blocks:
+            cols[rows] *= w[None, :] / w[rows, None]
     return OperatorMatrix(cols, space)
+
+
+def _row_blocks(N: int) -> list[slice]:
+    """Row slices of an N x N complex matrix, about ``_BUILD_BLOCK_BYTES`` each.
+
+    Every slice starts at a multiple of ``_BUILD_ROW_ALIGN``, and the last one
+    takes a single leftover row with it.
+    """
+    rows = max(_BUILD_ROW_ALIGN,
+               _BUILD_BLOCK_BYTES // (16 * N) // _BUILD_ROW_ALIGN * _BUILD_ROW_ALIGN)
+    starts = list(range(0, max(N - 1, 1), rows))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [N])]
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:
@@ -166,8 +199,10 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     M(w) from ``_kernel_rows``: the rows it drops move the value by at most
     (2 tau_M + tau_M^2) ||C||_2 <= 2^-60 (1 + tau_M / 2), by the same bound.
     Points are sorted by M (stably), and each group is taken in chunks of
-    about ``_CHUNK_BYTES`` of kernel coefficients, so memory stays bounded
-    whatever the number of points.
+    about ``_CHUNK_BYTES`` (4 MiB) of kernel coefficients.  A chunk's kernel
+    block and its product with the operator are the working set, so memory
+    stays under 3 ``_CHUNK_BYTES`` plus the per-point arrays whatever the
+    number of points.
     """
     _check_basis(op, space)
     ws = np.asarray(ws, dtype=complex)
@@ -209,7 +244,7 @@ def l2_berezin_set(operator) -> np.ndarray:
 
 def model_operator_matrix(n: int) -> OperatorMatrix:
     """The compressed shift on K_{z^n}: ones on the first subdiagonal."""
-    n = int(n)
+    n = as_size(n, "model dimension n")
     if n < 1:
         raise ValueError("model dimension must be >= 1")
     return OperatorMatrix(np.eye(n, k=-1, dtype=complex), model_space(n))
@@ -234,7 +269,7 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
     inside.
     """
     A = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
-    M = int(directions)
+    M = as_size(directions, "directions")
     if M < 3:
         raise ValueError("need at least 3 directions")
     points = np.empty(M, dtype=complex)

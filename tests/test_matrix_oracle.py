@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from berezin import closed_form as cf
 from berezin import geometry, kernels, symbols
@@ -189,6 +190,26 @@ def reference_composition_matrix(space, symbol, N):
     return cols
 
 
+def reference_doubling_matrix(space, symbol, N):
+    """Block doubling with one whole N x m product per doubling, unblocked."""
+    base = oracle._flush_tiny(symbols.symbol_series(symbol, N))
+    cols = np.zeros((N, N), dtype=complex)
+    cols[0, 0] = 1.0
+    k = 1
+    while k < N:
+        m = min(k, N - k)
+        power = oracle._flush_tiny(np.convolve(cols[:, k - 1], base)[:N])
+        padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
+        toeplitz = sliding_window_view(padded[::-1], N)[::-1]
+        cols[:, k:k + m] = toeplitz @ cols[:, :m]
+        oracle._flush_tiny(cols[:, k:k + m])
+        k += m
+    if space.kind == "bergman":
+        w = np.sqrt(np.arange(1, N + 1, dtype=float))
+        cols = cols * (w[None, :] / w[:, None])
+    return cols
+
+
 def reference_kernel_matrix(space, ws, N):
     """Powers of conj(w) by ``**``, scaled by the basis weights and norms."""
     ws = np.asarray(ws, dtype=complex)
@@ -227,6 +248,54 @@ def test_composition_matrix_equals_sequential_convolution(symb, N):
         np.testing.assert_allclose(
             op.entries, reference_composition_matrix(space, symb, N), rtol=0, atol=1e-13
         )
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 129, 513, 1024])
+@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
+def test_row_blocked_build_is_byte_identical_to_one_product_per_doubling(symb, N):
+    # At 513 the last block has 129 rows, one past a multiple of any GEMM row tile.
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        got = oracle.composition_matrix(space, symb, N).entries
+        assert got.tobytes() == reference_doubling_matrix(space, symb, N).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 65, 129, 1025, 4096])
+def test_row_blocks_cover_the_rows_in_aligned_blocks(N):
+    blocks = oracle._row_blocks(N)
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert blocks[0].start == 0 and blocks[-1].stop == N
+    assert all(b.start % oracle._BUILD_ROW_ALIGN == 0 for b in blocks)
+    assert all(b.stop - b.start >= min(2, N) for b in blocks)
+    most = max(oracle._BUILD_BLOCK_BYTES // (16 * N), oracle._BUILD_ROW_ALIGN) + 1
+    assert all(b.stop - b.start <= most for b in blocks)
+
+
+def test_composition_matrix_memory_is_one_matrix():
+    # The N = 1024 matrix takes 16 MiB; the whole strided Toeplitz copy, the
+    # N x m product and the Bergman reweighting's second matrix took 40 MiB.
+    tracemalloc.start()
+    try:
+        oracle.composition_matrix(kernels.BERGMAN, symbols.automorphism(1.25, 0.75), 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+# Each call returns the size it built, so a numpy integer can be checked too.
+@pytest.mark.parametrize("built, name", [
+    (lambda n: oracle.composition_matrix(kernels.HARDY, symbols.blaschke(0.5), n).truncation,
+     "truncation N"),
+    (lambda n: kernels.normalized_kernel_matrix(kernels.HARDY, [0.5], n).shape[0], "truncation"),
+    (lambda n: len(oracle.numerical_range_boundary(np.eye(2), n)), "directions"),
+    (lambda n: oracle.model_operator_matrix(n).truncation, "model dimension n"),
+], ids=["composition_matrix", "normalized_kernel_matrix", "numerical_range_boundary",
+        "model_operator_matrix"])
+def test_sizes_must_be_integers(built, name):
+    for bad in (2.5, 3.9, 4.0, float("inf"), float("nan"), "4", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            built(bad)
+    assert built(np.int64(4)) == built(np.int32(4)) == built(4) == 4
 
 
 @pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN], ids=lambda s: s.label)
@@ -315,9 +384,10 @@ def test_berezin_grid_keeps_mesh_shape_across_chunks(monkeypatch, N, chunk_point
 
 def test_berezin_grid_memory_is_bounded():
     # The whole 256 x 51,200 kernel matrix, its conjugate and its product
-    # with the operator took about 600 MiB at once; a chunk keeps two 16 MiB
-    # blocks alive (its kernel columns and their product with the operator)
-    # whatever the number of points.
+    # with the operator took about 600 MiB at once; a chunk keeps two blocks
+    # of _CHUNK_BYTES alive (its kernel columns and their product with the
+    # operator) whatever the number of points, next to 2 MiB of per-point
+    # arrays.  The chunk stays at 4 MiB: 16 MiB chunks peaked at 35 MiB here.
     grid = cf.PolarGrid.regular(200, 256, 0.99)
     ws = grid.mesh()
     op = oracle.composition_matrix(kernels.BERGMAN, symbols.blaschke(0.5), 256)
@@ -327,7 +397,7 @@ def test_berezin_grid_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40 * 2**20
+    assert peak < 3 * oracle._CHUNK_BYTES + 2 * 2**20 <= 14 * 2**20
 
 
 def _tail_norm(space, ws, N):
