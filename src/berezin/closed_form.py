@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import symbols as sym
-from .kernels import SpaceSpec
+from .kernels import SpaceSpec, as_size
 
 __all__ = [
     "DiskPoint",
@@ -36,6 +36,10 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _MESH_BYTES_MAX = 2**48  # a larger complex mesh exceeds a 48-bit address space
+# sample_range evaluates the transform on blocks of whole mesh rows with about
+# this many bytes per complex array (2048 points), so the transform's
+# temporaries (about six such arrays at once) stay small next to the values.
+_SAMPLE_BLOCK_BYTES = 2**15
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,7 +92,7 @@ class PolarGrid:
         """
         if not (0.0 < r_max < 1.0):
             raise ValueError("r_max must lie in (0, 1)")
-        r_steps, theta_steps = int(r_steps), int(theta_steps)
+        r_steps, theta_steps = as_size(r_steps, "r_steps"), as_size(theta_steps, "theta_steps")
         if r_steps < 2 or theta_steps < 1:
             raise ValueError("grid must have at least 2 radii and 1 angle")
         if (nbytes := 16 * r_steps * theta_steps) > _MESH_BYTES_MAX:
@@ -234,8 +238,22 @@ def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> Bo
 
 
 def sample_range(space: SpaceSpec, symbol: sym.SymbolSpec, grid: PolarGrid) -> RangeSample:
-    """Evaluate the closed-form ``transform`` at every grid point."""
-    return RangeSample(space, symbol, grid, transform(space, symbol, grid.mesh()))
+    """Evaluate the closed-form ``transform`` at every grid point.
+
+    The mesh is never built whole: each block of rows ``r[a:b, None] *
+    exp(1j * theta)`` (at least one row, else about ``_SAMPLE_BLOCK_BYTES``
+    per complex array) goes through ``transform`` into its rows of one
+    preallocated array.  Every value is the one ``transform(space, symbol,
+    grid.mesh())`` gives, bit for bit, since both evaluate the same
+    elementwise expressions on the same points.
+    """
+    r = grid.r_values
+    phase = np.exp(1j * grid.theta_values)
+    values = np.empty((len(r), len(phase)), dtype=complex)
+    rows = max(1, _SAMPLE_BLOCK_BYTES // (16 * len(phase)))
+    for a in range(0, len(r), rows):
+        values[a : a + rows] = transform(space, symbol, r[a : a + rows, None] * phase)
+    return RangeSample(space, symbol, grid, values)
 
 
 def model_transform(n: int, z):
@@ -244,7 +262,7 @@ def model_transform(n: int, z):
     At lambda the value is lambda (1 - |lambda|^(2n-2)) / (1 - |lambda|^(2n));
     for n = 1 the operator is 0 and so is the transform.
     """
-    n = int(n)
+    n = as_size(n, "model dimension n")
     zc = _as_complex(z)
     if n == 1:
         return np.zeros_like(np.asarray(zc)) if np.ndim(zc) else 0j

@@ -49,9 +49,14 @@ _SEGMENT_PROBES = 512
 # A SEGMENT is convex when no projection gap exceeds this many tolerances.
 _GAP_FACTOR = 10.0
 
-# Working memory of one vectorised search (nearest neighbours, the diameter's
-# pair scan) stays within about this many bytes per pass.
+# The pair arrays of one vectorised pass (nearest neighbours, the diameter's
+# pair scan) take about this many bytes.  It bounds a pass, not a search: see
+# _nearest_distances for what a search holds besides.
 _CHUNK_BYTES = 2**21
+# Passes over the whole cloud (the hull's two prefilters, the segment test and
+# projections, the quadtree leaves) run on blocks of this many points, so their
+# temporaries are a few 128 KiB float64 arrays at a time.
+_CLOUD_BLOCK = 2**14
 # Relative slack on every pruning bound: far above the rounding of the few
 # operations that compute one, so no candidate that can win is dropped.
 _SLACK = 1.0 + 1e-9
@@ -87,6 +92,17 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
+def _blocks(n: int) -> list[slice]:
+    """Slices of ``_CLOUD_BLOCK`` consecutive rows covering rows 0..n-1.
+
+    The last slice takes a single leftover row with it: numpy multiplies a
+    one-row matrix by a vector through another routine than the rows of a
+    larger one, and the two can differ in the last bit.
+    """
+    starts = list(range(0, max(n - 1, 1), _CLOUD_BLOCK))
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _deep_inside_octagon(pts: np.ndarray) -> np.ndarray:
     """Mask of points far inside the octagon of extreme points (Akl–Toussaint).
 
@@ -100,20 +116,27 @@ def _deep_inside_octagon(pts: np.ndarray) -> np.ndarray:
     of each other, where the chain can already lose a true vertex by itself.
     """
     x, y = pts[:, 0], pts[:, 1]
-    s, d = x + y, x - y
+    x_lo, x_hi, y_lo, y_hi = (int(f(c)) for c in (x, y) for f in (np.argmin, np.argmax))
+    # One array holds x + y, then x - y.
+    s = x + y
+    s_lo, s_hi = int(np.argmin(s)), int(np.argmax(s))
+    d = np.subtract(x, y, out=s)
+    d_lo, d_hi = int(np.argmin(d)), int(np.argmax(d))
+    del s, d
     # Extreme in the directions 180, 225, ..., 135 degrees: counterclockwise.
-    ext = [int(np.argmin(x)), int(np.argmin(s)), int(np.argmin(y)), int(np.argmax(d)),
-           int(np.argmax(x)), int(np.argmax(s)), int(np.argmax(y)), int(np.argmin(d))]
+    ext = [x_lo, s_lo, y_lo, d_hi, x_hi, s_hi, y_hi, d_lo]
     ext = [k for i, k in enumerate(ext) if k != ext[i - 1]]
     if len(ext) < 3:
         return np.zeros(len(pts), dtype=bool)
     extent = max(float(np.ptp(x)), float(np.ptp(y)))
     margin = max(1e-2 * extent, 1e-5 / extent)
+    edges = [(i, x[j] - x[i], y[j] - y[i]) for i, j in zip(ext, ext[1:] + ext[:1])]
     deep = np.ones(len(pts), dtype=bool)
-    for i, j in zip(ext, ext[1:] + ext[:1]):
-        ex, ey = x[j] - x[i], y[j] - y[i]
-        cross = ex * (y - y[i]) - ey * (x - x[i])
-        deep &= cross > margin * np.hypot(ex, ey)
+    for b in _blocks(len(pts)):
+        xb, yb = x[b], y[b]
+        for i, ex, ey in edges:
+            cross = ex * (yb - y[i]) - ey * (xb - x[i])
+            deep[b] &= cross > margin * np.hypot(ex, ey)
     return deep
 
 
@@ -130,7 +153,8 @@ def _chain_pops_all(pts: np.ndarray) -> bool:
     ux, uy = last - first
     length = float(np.hypot(ux, uy))
     diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    c = float(np.max(np.abs(ux * (pts[:, 1] - first[1]) - uy * (pts[:, 0] - first[0]))))
+    c = max(float(np.max(np.abs(ux * (pts[b, 1] - first[1]) - uy * (pts[b, 0] - first[0]))))
+            for b in _blocks(len(pts)))
     bound = 4.0 * diag * (c + 1e-15 * length * diag) / length + 1e-15 * diag * diag
     return bound <= _CROSS_EPS
 
@@ -144,6 +168,11 @@ def _sorted_unique(pts: np.ndarray) -> np.ndarray:
     ``np.unique``.  Rows that differ only in the sign of a zero compare equal
     in both, but which of them ``np.unique``'s unstable sort keeps is its
     own, so a cloud holding such rows takes ``np.unique`` itself.
+
+    The sorted copy is the one array the size of ``pts`` this makes: the
+    repeats are dropped from it in place, block by block (the rows kept
+    before a block never reach past its start), and it is then shrunk to
+    the rows kept.
     """
     prev, row = pts[:-1], pts[1:]
     ascend = (row[:, 0] > prev[:, 0]) | ((row[:, 0] == prev[:, 0]) & (row[:, 1] > prev[:, 1]))
@@ -153,7 +182,14 @@ def _sorted_unique(pts: np.ndarray) -> np.ndarray:
     same = np.all(rows[1:] == rows[:-1], axis=1)
     if np.any(rows[1:][same].view(np.int64) != rows[:-1][same].view(np.int64)):
         return np.unique(pts, axis=0)
-    return rows[np.concatenate([[True], ~same])]
+    keep = np.concatenate([[True], ~same])
+    k = 0
+    for b in _blocks(len(rows)):
+        kept = rows[b][keep[b]]
+        rows[k : k + len(kept)] = kept
+        k += len(kept)
+    rows.resize((k, 2), refcheck=False)  # no view of ``rows`` is alive
+    return rows
 
 
 def convex_hull(points) -> np.ndarray:
@@ -324,7 +360,7 @@ def _classify(pts, hull, diameter, tol: float) -> ShapeClass:
     if diam <= tol:
         center = pts.mean(axis=0, keepdims=True)
         return ShapeClass("POINT", center)
-    if np.max(_segment_distances(pts, p0, p1)) <= tol:
+    if max(np.max(_segment_distances(pts[b], p0, p1)) for b in _blocks(len(pts))) <= tol:
         return ShapeClass("SEGMENT", np.vstack([p0, p1]))
     return ShapeClass("REGION2D", hull)
 
@@ -426,23 +462,27 @@ def _inside_every_edge(hull: np.ndarray, edges: np.ndarray, points: np.ndarray) 
 # pass, each tile carrying the leaves that may hold a nearest point of one of
 # its queries.
 _NN_LEAF = 16
-_NN_BITS = 16  # Morton grid of 2**16 cells per axis
+_NN_BITS = 16  # Morton grid of 2**16 cells per axis: 32-bit codes
 # A vector pass holds at most _CHUNK_BYTES of pair arrays (16 float64 per
 # pair), and one batch of tiles at most _CHUNK_BYTES of candidate leaves;
 # larger batches are split and run depth first.
 _NN_PAIRS = _CHUNK_BYTES // (16 * 8)
 _NN_BATCH = _CHUNK_BYTES // 8
+# Queries descend in runs of this many, consecutive in Morton order, so that
+# no array of a pass has one entry per query of the whole set.
+_NN_RUN = 4096
 
 
 def _spread(v: np.ndarray) -> np.ndarray:
-    """Move bit i of each 16-bit integer to bit 2i."""
+    """Move bit i of each 16-bit integer of a uint32 array to bit 2i, in place."""
     for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
-        v = (v | (v << shift)) & mask
+        v |= v << shift
+        v &= mask
     return v
 
 
 def _morton(xy: np.ndarray) -> np.ndarray:
-    """Morton codes of points on a 2**16 grid over their bounding square.
+    """32-bit Morton codes of points on a 2**16 grid over their bounding square.
 
     The codes only group points; every bound of the search is computed from
     the coordinates themselves, so the grouping affects speed, not results.
@@ -450,14 +490,15 @@ def _morton(xy: np.ndarray) -> np.ndarray:
     x, y = xy[:, 0], xy[:, 1]
     lo = (x.min(), y.min())
     span = max(x.max() - lo[0], y.max() - lo[1])
-    code = np.zeros(len(xy), dtype=np.int64)
-    for axis, c in enumerate((x, y)):
-        u = c - lo[axis]
-        if span > 0:
-            u /= span
-        u *= 2**_NN_BITS
-        np.minimum(u, 2**_NN_BITS - 1, out=u)
-        code |= _spread(u.astype(np.int64)) << axis
+    code = np.zeros(len(xy), dtype=np.uint32)
+    for b in _blocks(len(xy)):
+        for axis, c in enumerate((x, y)):
+            u = c[b] - lo[axis]
+            if span > 0:
+                u /= span
+            u *= 2**_NN_BITS
+            np.minimum(u, 2**_NN_BITS - 1, out=u)
+            code[b] |= _spread(u.astype(np.uint32)) << axis
     return code
 
 
@@ -470,6 +511,10 @@ def _leaves(points: np.ndarray):
     _NN_LEAF slots from any leaf start stays in bounds (slots past the leaf
     hold other points or infinity, neither of which changes a minimum), the
     leaf starts, and per leaf its box (x0, x1, y0, y1) and first point (x, y).
+
+    Besides ``points``, at most the codes (4 bytes a point), the order (8)
+    and x and y (8 each) are held at once: the codes, the cuts and the sorted
+    coordinates are computed on blocks of ``_CLOUD_BLOCK`` points.
     """
     n = len(points)
     code = _morton(points)
@@ -477,20 +522,29 @@ def _leaves(points: np.ndarray):
     code = code[order]
     # Two neighbours in Morton order are cut apart when the smallest cell
     # holding both has more than _NN_LEAF points; that cell is the run of
-    # codes equal above bit ``shift``.
-    differ = code[1:] ^ code[:-1]
-    shift = (np.frexp(differ)[1].astype(np.int64) + 1) // 2 * 2
-    low = (code[1:] >> shift) << shift
-    first = np.searchsorted(code, low)
-    size = np.searchsorted(code, low + (np.int64(1) << shift)) - first
-    cut = np.ones(n, dtype=bool)
-    rank = np.arange(1, n) - first
-    cut[1:] = (size > _NN_LEAF) & ((differ > 0) | (rank % _NN_LEAF == 0))
-    starts = np.flatnonzero(cut)
-    pad = np.full(_NN_LEAF, np.inf)
-    xs = np.concatenate([points[order, 0], pad])
-    ys = np.concatenate([points[order, 1], pad])
+    # codes from ``low`` to ``low | below``, ``below`` the bits under ``shift``.
+    starts = [np.zeros(1, dtype=np.int64)]
+    for a in range(1, n, _CLOUD_BLOCK):
+        b = min(a + _CLOUD_BLOCK, n)
+        cur = code[a:b]
+        differ = cur ^ code[a - 1 : b - 1]
+        shift = (np.frexp(differ)[1] + 1) // 2 * 2
+        below = ((np.int64(1) << shift) - 1).astype(np.uint32)
+        low = cur & ~below
+        first = np.searchsorted(code, low)
+        size = np.searchsorted(code, low | below, side="right") - first
+        rank = np.arange(a, b) - first
+        cut = (size > _NN_LEAF) & ((differ > 0) | (rank % _NN_LEAF == 0))
+        starts.append(np.flatnonzero(cut) + a)
+    starts = np.concatenate(starts)
+    del code
+    xs = np.full(n + _NN_LEAF, np.inf)
+    ys = np.full(n + _NN_LEAF, np.inf)
     x, y = xs[:n], ys[:n]
+    for b in _blocks(n):
+        rows = points[order[b]]
+        x[b], y[b] = rows[:, 0], rows[:, 1]
+    del order
     columns = (np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts),
                np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts),
                x[starts], y[starts])
@@ -510,7 +564,8 @@ def _cuts(counts: np.ndarray, size: int) -> np.ndarray:
     ends = np.cumsum(counts)
     total = int(ends[-1]) if len(ends) else 0
     inner = np.searchsorted(ends, np.arange(size, total, size)) + 1
-    return np.unique(np.concatenate([[0], inner, [len(counts)]]))
+    cuts = np.concatenate([[0], inner, [len(counts)]])  # nondecreasing
+    return cuts[np.concatenate([[True], cuts[1:] != cuts[:-1]])]
 
 
 def _prune(columns, cx, cy, r, leaf, counts, offsets) -> np.ndarray:
@@ -571,11 +626,17 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     whose queries coincide, or that keeps at most two leaves, is finished by
     comparing each of its queries with every point of its leaves.
 
-    Cell sizes come from the inputs' bounding boxes.  Each vector pass handles
-    at most ``_NN_PAIRS`` (tile, leaf) pairs and each batch of tiles at most
-    ``_NN_BATCH`` candidate leaves, both set by ``_CHUNK_BYTES``, unless a
-    single tile needs more; a larger batch is split and its parts run depth
-    first.
+    Cell sizes come from the inputs' bounding boxes.  Memory, besides the
+    inputs and the result: the leaves (:func:`_leaves`: x and y, 16 bytes a
+    point, and 56 bytes a leaf), the queries' Morton codes and order (12
+    bytes a query), and one run of ``_NN_RUN`` queries at a time, which
+    descends on its own.  Within a run, each vector pass handles at most
+    ``_NN_PAIRS`` (tile, leaf) pairs, about ``_CHUNK_BYTES``, and each batch
+    of tiles at most ``_NN_BATCH`` candidate leaves, unless a single tile
+    needs more (near the root, a tile carries every leaf); a larger batch is
+    split and its parts run depth first.  On the 50,945 points and 31,086
+    queries of a Bergman Blaschke 0.5 coverage test, tracemalloc peaks at
+    4.3 MiB.
     """
     out = np.empty(len(queries))
     if len(queries) == 0:
@@ -583,69 +644,75 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     xs, ys, starts, columns = _leaves(points)
     # Enough levels that the finest tiles of evenly spread queries hold one each.
     depth = min(int(np.ceil(np.log2(max(len(queries), 2)))) + 1, _NN_BITS)
-    code = _morton(queries) >> 2 * (_NN_BITS - depth)
-    order = np.argsort(code)
+    morton = _morton(queries)
+    morton >>= 2 * (_NN_BITS - depth)
+    order = np.argsort(morton)
     leaves = np.arange(len(starts))
-    # A batch: its level, its queries in Morton order (x, y, code, index),
-    # the first query of each tile, and each tile's candidate leaves (CSR).
-    stack = [(0, queries[order, 0], queries[order, 1], code[order], order,
-              np.zeros(1, dtype=np.int64), leaves, np.array([0, len(leaves)]))]
-    while stack:
-        level, qx, qy, code, qidx, tiles, cand, ptr = stack.pop()
-        level += 1
-        m = len(qx)
-        # Split each tile into its children at this level; past the last
-        # level, every query is a tile of its own.
-        key = code >> 2 * (depth - level) if level <= depth else np.arange(m)
-        first = np.empty(m, dtype=bool)
-        first[0] = True
-        np.not_equal(key[1:], key[:-1], out=first[1:])
-        first[tiles] = True
-        head = np.flatnonzero(first)
-        parent = np.searchsorted(tiles, head, side="right") - 1
-        sizes = np.diff(head, append=m)
-        x0, x1 = np.minimum.reduceat(qx, head), np.maximum.reduceat(qx, head)
-        y0, y1 = np.minimum.reduceat(qy, head), np.maximum.reduceat(qy, head)
-        cx = x0 + 0.5 * (x1 - x0)
-        cy = y0 + 0.5 * (y1 - y0)
-        dx = qx - np.repeat(cx, sizes)
-        dy = qy - np.repeat(cy, sizes)
-        r = np.sqrt(np.maximum.reduceat(dx * dx + dy * dy, head))
-        kept = np.empty(len(head), dtype=np.int64)
-        parts = []
-        cuts = _cuts(ptr[parent + 1] - ptr[parent], _NN_PAIRS)
-        for a, z in zip(cuts[:-1], cuts[1:]):
-            idx, counts, offsets = _rows(ptr, parent[a:z])
-            leaf = cand[idx]
-            keep = _prune(columns, cx[a:z], cy[a:z], r[a:z], leaf, counts, offsets)
-            kept[a:z] = np.add.reduceat(keep, offsets)
-            parts.append(leaf[keep])
-        cand = np.concatenate(parts)
-        ptr = np.concatenate([[0], np.cumsum(kept)])
-
-        point = (x0 == x1) & (y0 == y1)  # all queries of the tile coincide
-        done = point | (kept <= 2)
-        if done.any():
-            # A tile of coincident queries is compared once, at its centre.
-            tile = np.flatnonzero(point)
-            out[qidx[np.repeat(point, sizes)]] = np.repeat(
-                _leaf_minimum(xs, ys, starts, cx[tile], cy[tile], cand, ptr, tile), sizes[tile])
-            rest = np.repeat(done & ~point, sizes)
-            owner = np.repeat(np.arange(len(head)), sizes)[rest]
-            out[qidx[rest]] = _leaf_minimum(xs, ys, starts, qx[rest], qy[rest], cand, ptr, owner)
-            live = np.repeat(~done, sizes)
-            qx, qy, code, qidx = qx[live], qy[live], code[live], qidx[live]
-            cand = cand[np.repeat(~done, kept)]
-            kept, sizes = kept[~done], sizes[~done]
+    for s in range(0, len(queries), _NN_RUN):
+        run = order[s : s + _NN_RUN]
+        # A batch: its level, its queries in Morton order (x, y, code, index),
+        # the first query of each tile, and each tile's candidate leaves (CSR).
+        stack = [(0, queries[run, 0], queries[run, 1], morton[run], run,
+                  np.zeros(1, dtype=np.int64), leaves, np.array([0, len(leaves)]))]
+        while stack:
+            level, qx, qy, code, qidx, tiles, cand, ptr = stack.pop()
+            level += 1
+            m = len(qx)
+            # Split each tile into its children at this level; past the last
+            # level, every query is a tile of its own.
+            key = code >> 2 * (depth - level) if level <= depth else np.arange(m)
+            first = np.empty(m, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            first[tiles] = True
+            head = np.flatnonzero(first)
+            parent = np.searchsorted(tiles, head, side="right") - 1
+            sizes = np.diff(head, append=m)
+            x0, x1 = np.minimum.reduceat(qx, head), np.maximum.reduceat(qx, head)
+            y0, y1 = np.minimum.reduceat(qy, head), np.maximum.reduceat(qy, head)
+            cx = x0 + 0.5 * (x1 - x0)
+            cy = y0 + 0.5 * (y1 - y0)
+            dx = qx - np.repeat(cx, sizes)
+            dy = qy - np.repeat(cy, sizes)
+            r = np.sqrt(np.maximum.reduceat(dx * dx + dy * dy, head))
+            kept = np.empty(len(head), dtype=np.int64)
+            parts = []
+            cuts = _cuts(ptr[parent + 1] - ptr[parent], _NN_PAIRS)
+            for a, z in zip(cuts[:-1], cuts[1:]):
+                idx, counts, offsets = _rows(ptr, parent[a:z])
+                leaf = cand[idx]
+                keep = _prune(columns, cx[a:z], cy[a:z], r[a:z], leaf, counts, offsets)
+                kept[a:z] = np.add.reduceat(keep, offsets)
+                parts.append(leaf[keep])
+            cand = np.concatenate(parts)
             ptr = np.concatenate([[0], np.cumsum(kept)])
-        if len(kept) == 0:
-            continue
-        heads = np.cumsum(sizes) - sizes
-        batches = _cuts(kept, _NN_BATCH)
-        for a, z in zip(batches[-2::-1], batches[:0:-1]):
-            q0, q1 = heads[a], heads[z] if z < len(heads) else len(qx)
-            stack.append((level, qx[q0:q1], qy[q0:q1], code[q0:q1], qidx[q0:q1],
-                          heads[a:z] - q0, cand[ptr[a]:ptr[z]], ptr[a:z + 1] - ptr[a]))
+
+            point = (x0 == x1) & (y0 == y1)  # all queries of the tile coincide
+            done = point | (kept <= 2)
+            if done.any():
+                # A tile of coincident queries is compared once, at its centre.
+                tile = np.flatnonzero(point)
+                if len(tile):
+                    nearest = _leaf_minimum(xs, ys, starts, cx[tile], cy[tile], cand, ptr, tile)
+                    out[qidx[np.repeat(point, sizes)]] = np.repeat(nearest, sizes[tile])
+                rest = np.repeat(done & ~point, sizes)
+                if rest.any():
+                    owner = np.repeat(np.arange(len(head)), sizes)[rest]
+                    out[qidx[rest]] = _leaf_minimum(xs, ys, starts, qx[rest], qy[rest],
+                                                    cand, ptr, owner)
+                live = np.repeat(~done, sizes)
+                qx, qy, code, qidx = qx[live], qy[live], code[live], qidx[live]
+                cand = cand[np.repeat(~done, kept)]
+                kept, sizes = kept[~done], sizes[~done]
+                ptr = np.concatenate([[0], np.cumsum(kept)])
+            if len(kept) == 0:
+                continue
+            heads = np.cumsum(sizes) - sizes
+            batches = _cuts(kept, _NN_BATCH)
+            for a, z in zip(batches[-2::-1], batches[:0:-1]):
+                q0, q1 = heads[a], heads[z] if z < len(heads) else len(qx)
+                stack.append((level, qx[q0:q1], qy[q0:q1], code[q0:q1], qidx[q0:q1],
+                              heads[a:z] - q0, cand[ptr[a]:ptr[z]], ptr[a:z + 1] - ptr[a]))
     return out
 
 
@@ -682,7 +749,10 @@ def convexity_report(points, tol: float | None = None) -> ConvexityReport:
     if shape.tag == "SEGMENT":
         p0, p1 = shape.vertices
         direction = (p1 - p0) / np.linalg.norm(p1 - p0)
-        proj = np.sort((pts - p0) @ direction)
+        proj = np.empty(len(pts))
+        for b in _blocks(len(pts)):
+            np.matmul(pts[b] - p0, direction, out=proj[b])
+        proj.sort()
         max_gap = float(np.max(np.diff(proj))) if len(proj) > 1 else 0.0
         verdict = "CONVEX" if max_gap <= _GAP_FACTOR * tol else "NOT_CONVEX"
         coverage = _segment_coverage(pts, p0, p1, tol)

@@ -52,7 +52,7 @@ BERGMAN = SpaceSpec("bergman")
 
 def model_space(n: int) -> SpaceSpec:
     """The n-dimensional model space K_{z^n} (orthocomplement of z^n H^2)."""
-    return SpaceSpec("model", int(n))
+    return SpaceSpec("model", as_size(n, "model dimension n"))
 
 
 def as_size(value, name: str) -> int:

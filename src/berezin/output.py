@@ -83,7 +83,7 @@ def write_svg(path, points, title: str = "Berezin range") -> None:
     size = 800
     half = 1.1
     if xy.size:
-        half = max(half, 1.05 * float(np.max(np.abs(xy))))
+        half = max(half, 1.05 * float(max(np.max(xy), -np.min(xy))))  # max |coordinate|
     scale = size / (2.0 * half)
     cx = cy = size / 2.0
     parts = [
@@ -98,15 +98,15 @@ def write_svg(path, points, title: str = "Berezin range") -> None:
         f'<circle cx="{cx:.1f}" cy="{cy:.1f}" r="{scale:.3f}" '
         'fill="none" stroke="#bbb" stroke-width="1" stroke-dasharray="4 3"/>',
     ]
-    coords = np.column_stack([(xy[:, 0] + half) * scale, (half - xy[:, 1]) * scale])
     # One % per block of points: the bytes of a per-point f"{x:.3f}".
     marker = '<circle cx="%.3f" cy="%.3f" r="1.6" fill="#1f77b4" fill-opacity="0.55"/>\n'
 
     def lines():
         yield "\n".join(parts) + "\n"
-        for s in range(0, len(coords), _SVG_BLOCK):
-            block = coords[s : s + _SVG_BLOCK]
-            yield (marker * len(block)) % tuple(block.ravel().tolist())
+        for s in range(0, len(xy), _SVG_BLOCK):
+            block = xy[s : s + _SVG_BLOCK]
+            coords = np.column_stack([(block[:, 0] + half) * scale, (half - block[:, 1]) * scale])
+            yield (marker * len(block)) % tuple(coords.ravel().tolist())
         yield "</svg>\n"
 
     atomic_write_text(path, lines())

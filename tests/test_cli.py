@@ -403,6 +403,22 @@ def test_range_and_sweep_leave_scipy_spatial_unloaded(tmp_path):
     assert proc.stdout.strip().splitlines()[-1] == "0 0 False"
 
 
+def test_range_and_sweep_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma costs 13-15 ms of imports; np.unique is what would load it.
+    code = (
+        "import sys\n"
+        "from berezin.cli import main\n"
+        "a = main(['range', '--space', 'hardy', '--symbol', 'blaschke', '--alpha=0.3i'])\n"
+        "b = main(['sweep', '--space', 'hardy', '--symbol', 'elliptic', '--alphas=-0.5'])\n"
+        "print(a, b, 'numpy.ma' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "(shape REGION2D," in proc.stdout
+    assert "alpha=-0.5: CONVEX (SEGMENT)" in proc.stdout
+    assert proc.stdout.strip().splitlines()[-1] == "0 0 False"
+
+
 @pytest.mark.parametrize("command", [
     ["range", "--space", "bergman", "--symbol", "blaschke", "--alpha=0.5"],
     ["sweep", "--space", "bergman", "--symbol", "blaschke", "--alphas=0.5"],

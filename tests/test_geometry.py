@@ -636,7 +636,64 @@ def test_nearest_distances_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20  # measured: 8.3 MiB
+    assert peak < 5.25 * 2**20  # measured: 4.3 MiB
+
+
+@pytest.mark.parametrize("run", [1, 7, 100])
+def test_nearest_distances_in_short_runs(monkeypatch, run):
+    # Runs this short split tiles of every level between runs.
+    monkeypatch.setattr(geometry, "_NN_RUN", run)
+    rng = np.random.default_rng(12)
+    pts = np.repeat(_cloud("disk", 800, rng), 2, axis=0)
+    queries = np.vstack([rng.uniform(-1.2, 1.2, size=(300, 2)), pts[:50]])
+    np.testing.assert_array_equal(geometry._nearest_distances(pts, queries),
+                                  reference_nearest(pts, queries))
+
+
+def test_blocks_cover_the_rows_and_leave_no_single_row_block(monkeypatch):
+    monkeypatch.setattr(geometry, "_CLOUD_BLOCK", 4)
+    for n in range(1, 14):
+        blocks = geometry._blocks(n)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.stop - b.start >= 2 for b in blocks) or n == 1
+
+
+@pytest.mark.parametrize("block", [2, 3, 2**14])
+def test_segment_path_in_blocks_equals_the_whole_cloud_formulas(monkeypatch, block):
+    monkeypatch.setattr(geometry, "_CLOUD_BLOCK", block)
+    rng = np.random.default_rng(5)
+    t = np.sort(rng.uniform(0.0, 1.0, 1001))
+    pts = np.column_stack([0.3 + 2.0 * t, -0.1 + 0.7 * t + rng.normal(scale=1e-6, size=t.size)])
+    rep = geometry.convexity_report(pts)
+    assert rep.shape.tag == "SEGMENT"
+    p0, p1 = rep.shape.vertices
+    direction = (p1 - p0) / np.linalg.norm(p1 - p0)
+    assert rep.max_gap == float(np.max(np.diff(np.sort((pts - p0) @ direction))))
+    # The segment test of a 2-D cloud takes the maximum over blocks.
+    cloud = np.vstack([pts, [[1.0, 1.0]]])
+    hull = geometry.convex_hull(cloud)
+    diameter = geometry._diameter(hull)
+    far = float(np.max(geometry._segment_distances(cloud, *diameter[1])))
+    for tol, tag in ((far, "SEGMENT"), (np.nextafter(far, 0.0), "REGION2D")):
+        assert diameter[0] > tol and geometry._classify(cloud, hull, diameter, tol).tag == tag
+
+
+@pytest.mark.parametrize("r_steps, theta_steps, bound", [
+    (200, 256, 7 * 2**20),  # measured: 5.8 MiB
+    (800, 1024, 80 * 800 * 1024),  # measured: 60.2 bytes a sample
+], ids=["200x256", "800x1024"])
+def test_classify_range_memory_is_bounded(r_steps, theta_steps, bound):
+    # Beyond the sample itself, which is allocated before tracing starts.
+    sample = closed_form.sample_range(kernels.HARDY, symbols.blaschke(0.3j),
+                                      closed_form.PolarGrid.regular(r_steps, theta_steps, 0.998))
+    tracemalloc.start()
+    try:
+        report = geometry.classify_range(sample)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (report.shape.tag, report.verdict) == ("REGION2D", "NOT_CONVEX")
+    assert peak <= bound
 
 
 def _sweep_hull_and_grid():

@@ -91,6 +91,13 @@ def test_model_space_validation():
         kernels.SpaceSpec("l2")
 
 
+def test_model_space_dimension_must_be_an_integer():
+    with pytest.raises(ValueError, match="^model dimension n must be an integer, got 2.5$"):
+        kernels.model_space(2.5)
+    assert kernels.model_space(np.int64(3)) == kernels.model_space(np.int32(3))
+    assert type(kernels.model_space(np.int64(3)).n) is int
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [(np.nan, "finite"), (complex(np.nan, np.nan), "finite"), (np.inf, "finite"),
