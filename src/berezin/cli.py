@@ -204,15 +204,15 @@ def cmd_ineq(args) -> int:
         checks = ineq.checks_for(f, args.check)
     if args.dim is not None and args.dim < 1:
         raise ValueError(f"--dim must be >= 1, got {args.dim}")
-    dims = (args.dim,) if args.dim is not None else (2, 3, 4, 5, 6, 7, 8)
+    dims = {"dims": (args.dim,)} if args.dim is not None else {}
     report = ineq.run_trials(
         f,
         map_kind=args.map,
         checks=checks,
         trials=args.trials,
-        dims=dims,
         seed=args.seed,
         diag_only=args.diag_only,
+        **dims,
     )
     payload = report.to_json_dict()
     text = json.dumps(payload, indent=2, sort_keys=True)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import symbols as sym
-from .kernels import SpaceSpec, as_size
+from .kernels import SpaceSpec, as_size, row_blocks
 
 __all__ = [
     "DiskPoint",
@@ -240,19 +240,18 @@ def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> Bo
 def sample_range(space: SpaceSpec, symbol: sym.SymbolSpec, grid: PolarGrid) -> RangeSample:
     """Evaluate the closed-form ``transform`` at every grid point.
 
-    The mesh is never built whole: each block of rows ``r[a:b, None] *
-    exp(1j * theta)`` (at least one row, else about ``_SAMPLE_BLOCK_BYTES``
-    per complex array) goes through ``transform`` into its rows of one
-    preallocated array.  Every value is the one ``transform(space, symbol,
-    grid.mesh())`` gives, bit for bit, since both evaluate the same
-    elementwise expressions on the same points.
+    The mesh is never built whole: each ``kernels.row_blocks`` block of rows
+    ``r[a:b, None] * exp(1j * theta)`` (at least one row, else about
+    ``_SAMPLE_BLOCK_BYTES`` per complex array) goes through ``transform``
+    into its rows of one preallocated array.  Every value is the one
+    ``transform(space, symbol, grid.mesh())`` gives, bit for bit, since both
+    evaluate the same elementwise expressions on the same points.
     """
     r = grid.r_values
     phase = np.exp(1j * grid.theta_values)
     values = np.empty((len(r), len(phase)), dtype=complex)
-    rows = max(1, _SAMPLE_BLOCK_BYTES // (16 * len(phase)))
-    for a in range(0, len(r), rows):
-        values[a : a + rows] = transform(space, symbol, r[a : a + rows, None] * phase)
+    for b in row_blocks(len(r), max(1, _SAMPLE_BLOCK_BYTES // (16 * len(phase)))):
+        values[b] = transform(space, symbol, r[b, None] * phase)
     return RangeSample(space, symbol, grid, values)
 
 

@@ -22,6 +22,8 @@ import dataclasses
 
 import numpy as np
 
+from .kernels import row_blocks
+
 __all__ = [
     "ShapeClass",
     "ConvexityReport",
@@ -50,12 +52,13 @@ _SEGMENT_PROBES = 512
 _GAP_FACTOR = 10.0
 
 # The pair arrays of one vectorised pass (nearest neighbours, the diameter's
-# pair scan) take about this many bytes.  It bounds a pass, not a search: see
-# _nearest_distances for what a search holds besides.
+# pair scan) take about this many bytes.  It bounds a pass, not a search: a
+# run of queries descends breadth first, and _nearest_distances says what it
+# holds besides.
 _CHUNK_BYTES = 2**21
 # Passes over the whole cloud (the hull's two prefilters, the segment test and
-# projections, the quadtree leaves) run on blocks of this many points, so their
-# temporaries are a few 128 KiB float64 arrays at a time.
+# projections, the quadtree leaves) run on kernels.row_blocks of this many
+# points, so their temporaries are a few 128 KiB float64 arrays at a time.
 _CLOUD_BLOCK = 2**14
 # Relative slack on every pruning bound: far above the rounding of the few
 # operations that compute one, so no candidate that can win is dropped.
@@ -92,17 +95,6 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _blocks(n: int) -> list[slice]:
-    """Slices of ``_CLOUD_BLOCK`` consecutive rows covering rows 0..n-1.
-
-    The last slice takes a single leftover row with it: numpy multiplies a
-    one-row matrix by a vector through another routine than the rows of a
-    larger one, and the two can differ in the last bit.
-    """
-    starts = list(range(0, max(n - 1, 1), _CLOUD_BLOCK))
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
 def _deep_inside_octagon(pts: np.ndarray) -> np.ndarray:
     """Mask of points far inside the octagon of extreme points (Akl–Toussaint).
 
@@ -132,7 +124,7 @@ def _deep_inside_octagon(pts: np.ndarray) -> np.ndarray:
     margin = max(1e-2 * extent, 1e-5 / extent)
     edges = [(i, x[j] - x[i], y[j] - y[i]) for i, j in zip(ext, ext[1:] + ext[:1])]
     deep = np.ones(len(pts), dtype=bool)
-    for b in _blocks(len(pts)):
+    for b in row_blocks(len(pts), _CLOUD_BLOCK):
         xb, yb = x[b], y[b]
         for i, ex, ey in edges:
             cross = ex * (yb - y[i]) - ey * (xb - x[i])
@@ -154,7 +146,7 @@ def _chain_pops_all(pts: np.ndarray) -> bool:
     length = float(np.hypot(ux, uy))
     diag = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     c = max(float(np.max(np.abs(ux * (pts[b, 1] - first[1]) - uy * (pts[b, 0] - first[0]))))
-            for b in _blocks(len(pts)))
+            for b in row_blocks(len(pts), _CLOUD_BLOCK))
     bound = 4.0 * diag * (c + 1e-15 * length * diag) / length + 1e-15 * diag * diag
     return bound <= _CROSS_EPS
 
@@ -184,7 +176,7 @@ def _sorted_unique(pts: np.ndarray) -> np.ndarray:
         return np.unique(pts, axis=0)
     keep = np.concatenate([[True], ~same])
     k = 0
-    for b in _blocks(len(rows)):
+    for b in row_blocks(len(rows), _CLOUD_BLOCK):
         kept = rows[b][keep[b]]
         rows[k : k + len(kept)] = kept
         k += len(kept)
@@ -360,7 +352,8 @@ def _classify(pts, hull, diameter, tol: float) -> ShapeClass:
     if diam <= tol:
         center = pts.mean(axis=0, keepdims=True)
         return ShapeClass("POINT", center)
-    if max(np.max(_segment_distances(pts[b], p0, p1)) for b in _blocks(len(pts))) <= tol:
+    blocks = row_blocks(len(pts), _CLOUD_BLOCK)
+    if max(np.max(_segment_distances(pts[b], p0, p1)) for b in blocks) <= tol:
         return ShapeClass("SEGMENT", np.vstack([p0, p1]))
     return ShapeClass("REGION2D", hull)
 
@@ -445,15 +438,14 @@ def _inside_every_edge(hull: np.ndarray, edges: np.ndarray, points: np.ndarray) 
     ``_BAND_ENTRIES`` (point, edge) pairs.
     """
     inside = np.empty(len(points), dtype=bool)
-    rows = max(1, _BAND_ENTRIES // len(hull))
-    for s in range(0, len(points), rows):
-        block = points[s : s + rows, :, None]
+    for b in row_blocks(len(points), max(1, _BAND_ENTRIES // len(hull))):
+        block = points[b, :, None]
         c = block[:, 1] - hull[:, 1]
         c *= edges[:, 0]
         d = block[:, 0] - hull[:, 0]
         d *= edges[:, 1]
         c -= d
-        inside[s : s + rows] = np.all(c >= -_CROSS_EPS, axis=1)
+        inside[b] = np.all(c >= -_CROSS_EPS, axis=1)
     return inside
 
 
@@ -463,11 +455,8 @@ def _inside_every_edge(hull: np.ndarray, edges: np.ndarray, points: np.ndarray) 
 # its queries.
 _NN_LEAF = 16
 _NN_BITS = 16  # Morton grid of 2**16 cells per axis: 32-bit codes
-# A vector pass holds at most _CHUNK_BYTES of pair arrays (16 float64 per
-# pair), and one batch of tiles at most _CHUNK_BYTES of candidate leaves;
-# larger batches are split and run depth first.
+# A vector pass holds at most _CHUNK_BYTES of pair arrays, 16 float64 a pair.
 _NN_PAIRS = _CHUNK_BYTES // (16 * 8)
-_NN_BATCH = _CHUNK_BYTES // 8
 # Queries descend in runs of this many, consecutive in Morton order, so that
 # no array of a pass has one entry per query of the whole set.
 _NN_RUN = 4096
@@ -491,7 +480,7 @@ def _morton(xy: np.ndarray) -> np.ndarray:
     lo = (x.min(), y.min())
     span = max(x.max() - lo[0], y.max() - lo[1])
     code = np.zeros(len(xy), dtype=np.uint32)
-    for b in _blocks(len(xy)):
+    for b in row_blocks(len(xy), _CLOUD_BLOCK):
         for axis, c in enumerate((x, y)):
             u = c[b] - lo[axis]
             if span > 0:
@@ -541,7 +530,7 @@ def _leaves(points: np.ndarray):
     xs = np.full(n + _NN_LEAF, np.inf)
     ys = np.full(n + _NN_LEAF, np.inf)
     x, y = xs[:n], ys[:n]
-    for b in _blocks(n):
+    for b in row_blocks(n, _CLOUD_BLOCK):
         rows = points[order[b]]
         x[b], y[b] = rows[:, 0], rows[:, 1]
     del order
@@ -623,18 +612,17 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     each query's distance is the minimum of that formula over the points
     left.  Queries are sorted in Morton order and split one quadtree level at
     a time; a tile keeps the leaves :func:`_prune` cannot rule out.  A tile
-    whose queries coincide, or that keeps at most two leaves, is finished by
+    that holds one query, or that keeps at most two leaves, is finished by
     comparing each of its queries with every point of its leaves.
 
     Cell sizes come from the inputs' bounding boxes.  Memory, besides the
     inputs and the result: the leaves (:func:`_leaves`: x and y, 16 bytes a
     point, and 56 bytes a leaf), the queries' Morton codes and order (12
     bytes a query), and one run of ``_NN_RUN`` queries at a time, which
-    descends on its own.  Within a run, each vector pass handles at most
-    ``_NN_PAIRS`` (tile, leaf) pairs, about ``_CHUNK_BYTES``, and each batch
-    of tiles at most ``_NN_BATCH`` candidate leaves, unless a single tile
-    needs more (near the root, a tile carries every leaf); a larger batch is
-    split and its parts run depth first.  On the 50,945 points and 31,086
+    descends on its own, breadth first: a level's tiles are split together.
+    Within a run, each vector pass handles at most ``_NN_PAIRS`` (tile, leaf)
+    pairs, about ``_CHUNK_BYTES``, unless a single tile needs more (near the
+    root, a tile carries every leaf).  On the 50,945 points and 31,086
     queries of a Bergman Blaschke 0.5 coverage test, tracemalloc peaks at
     4.3 MiB.
     """
@@ -649,13 +637,14 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     order = np.argsort(morton)
     leaves = np.arange(len(starts))
     for s in range(0, len(queries), _NN_RUN):
-        run = order[s : s + _NN_RUN]
-        # A batch: its level, its queries in Morton order (x, y, code, index),
-        # the first query of each tile, and each tile's candidate leaves (CSR).
-        stack = [(0, queries[run, 0], queries[run, 1], morton[run], run,
-                  np.zeros(1, dtype=np.int64), leaves, np.array([0, len(leaves)]))]
-        while stack:
-            level, qx, qy, code, qidx, tiles, cand, ptr = stack.pop()
+        # The run's live queries in Morton order (x, y, code, index), the first
+        # query of each tile, and each tile's candidate leaves (CSR).
+        qidx = order[s : s + _NN_RUN]
+        qx, qy, code = queries[qidx, 0], queries[qidx, 1], morton[qidx]
+        tiles = np.zeros(1, dtype=np.int64)
+        cand, ptr = leaves, np.array([0, len(leaves)])
+        level = 0
+        while len(qx):
             level += 1
             m = len(qx)
             # Split each tile into its children at this level; past the last
@@ -687,32 +676,18 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
             cand = np.concatenate(parts)
             ptr = np.concatenate([[0], np.cumsum(kept)])
 
-            point = (x0 == x1) & (y0 == y1)  # all queries of the tile coincide
-            done = point | (kept <= 2)
+            done = (sizes == 1) | (kept <= 2)
             if done.any():
-                # A tile of coincident queries is compared once, at its centre.
-                tile = np.flatnonzero(point)
-                if len(tile):
-                    nearest = _leaf_minimum(xs, ys, starts, cx[tile], cy[tile], cand, ptr, tile)
-                    out[qidx[np.repeat(point, sizes)]] = np.repeat(nearest, sizes[tile])
-                rest = np.repeat(done & ~point, sizes)
-                if rest.any():
-                    owner = np.repeat(np.arange(len(head)), sizes)[rest]
-                    out[qidx[rest]] = _leaf_minimum(xs, ys, starts, qx[rest], qy[rest],
-                                                    cand, ptr, owner)
-                live = np.repeat(~done, sizes)
+                finish = np.repeat(done, sizes)
+                owner = np.repeat(np.arange(len(head)), sizes)[finish]
+                out[qidx[finish]] = _leaf_minimum(xs, ys, starts, qx[finish], qy[finish],
+                                                  cand, ptr, owner)
+                live = ~finish
                 qx, qy, code, qidx = qx[live], qy[live], code[live], qidx[live]
                 cand = cand[np.repeat(~done, kept)]
                 kept, sizes = kept[~done], sizes[~done]
                 ptr = np.concatenate([[0], np.cumsum(kept)])
-            if len(kept) == 0:
-                continue
-            heads = np.cumsum(sizes) - sizes
-            batches = _cuts(kept, _NN_BATCH)
-            for a, z in zip(batches[-2::-1], batches[:0:-1]):
-                q0, q1 = heads[a], heads[z] if z < len(heads) else len(qx)
-                stack.append((level, qx[q0:q1], qy[q0:q1], code[q0:q1], qidx[q0:q1],
-                              heads[a:z] - q0, cand[ptr[a]:ptr[z]], ptr[a:z + 1] - ptr[a]))
+            tiles = np.cumsum(sizes) - sizes
     return out
 
 
@@ -750,7 +725,7 @@ def convexity_report(points, tol: float | None = None) -> ConvexityReport:
         p0, p1 = shape.vertices
         direction = (p1 - p0) / np.linalg.norm(p1 - p0)
         proj = np.empty(len(pts))
-        for b in _blocks(len(pts)):
+        for b in row_blocks(len(pts), _CLOUD_BLOCK):
             np.matmul(pts[b] - p0, direction, out=proj[b])
         proj.sort()
         max_gap = float(np.max(np.diff(proj))) if len(proj) > 1 else 0.0

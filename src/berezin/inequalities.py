@@ -23,6 +23,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .kernels import as_size
+
 __all__ = [
     "ScalarFunction",
     "PositiveMap",
@@ -771,12 +773,12 @@ def run_trials(
             raise ValueError(f"unknown check {c!r}; choose from {TRIAL_CHECKS}")
     if map_kind not in _MAP_KINDS:
         raise ValueError(f"unknown map kind: {map_kind!r}")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_size(d, "dimension") for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dims must be one or more dimensions >= 1, got {dims}")
     for c in checks:
         _require(f, c)
-    trials = int(trials)
+    trials = as_size(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
     root = np.random.SeedSequence(seed)

@@ -20,6 +20,7 @@ __all__ = [
     "normalized_kernel_matrix",
     "disk_points",
     "as_size",
+    "row_blocks",
 ]
 
 
@@ -65,6 +66,14 @@ def as_size(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def row_blocks(n: int, rows: int) -> list[slice]:
+    """Slices of ``rows`` consecutive rows covering rows 0..n-1, the last one
+    taking a single leftover row with it: numpy multiplies a one-row matrix
+    through another routine (GEMV), which can differ in the last bit."""
+    starts = list(range(0, max(n - 1, 1), rows)) if n else []
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def disk_points(ws) -> np.ndarray:

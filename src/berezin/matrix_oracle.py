@@ -16,7 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import symbols as sym
 from .closed_form import PolarGrid, RangeSample
-from .kernels import SpaceSpec, as_size, disk_points, model_space, normalized_kernel_matrix
+from .kernels import (SpaceSpec, as_size, disk_points, model_space, normalized_kernel_matrix,
+                      row_blocks)
 
 __all__ = [
     "OperatorMatrix",
@@ -47,11 +48,10 @@ _TAIL_BUDGET = 2.0**-60
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
 
 # composition_matrix writes each doubling's product, and the Bergman weights,
-# in row blocks of about _BUILD_BLOCK_BYTES of the N x N matrix.  Blocks start
-# at multiples of _BUILD_ROW_ALIGN rows and none has a single row (numpy takes
-# a one-row product through GEMV), so every row meets the same GEMM
-# micro-kernel as in one whole product and the matrix's bytes do not depend on
-# the blocking.
+# in kernels.row_blocks of about _BUILD_BLOCK_BYTES of the N x N matrix.  The
+# block size is a multiple of _BUILD_ROW_ALIGN rows, so every row meets the
+# same GEMM micro-kernel as in one whole product and the matrix's bytes do not
+# depend on the blocking.
 _BUILD_BLOCK_BYTES = 2**21
 _BUILD_ROW_ALIGN = 64
 
@@ -94,9 +94,9 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     (3e-151 for Blaschke alpha = 0.3i at N = 1024).
 
     Each product, and the Bergman reweighting, is written into the matrix in
-    row blocks of about 2 MiB (``_row_blocks``), so the working set is the
-    N x N matrix plus a few such blocks: about 17 MiB at N = 1024, and one
-    85 MB matrix plus 2 MiB blocks at N = 2304.
+    row blocks of about 2 MiB (``kernels.row_blocks``), so the working set is
+    the N x N matrix plus a few such blocks: about 17 MiB at N = 1024, and
+    one 85 MB matrix plus 2 MiB blocks at N = 2304.
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
@@ -106,7 +106,8 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     base = _flush_tiny(sym.symbol_series(symbol, N))
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
-    blocks = _row_blocks(N)
+    step = _BUILD_BLOCK_BYTES // (16 * N) // _BUILD_ROW_ALIGN * _BUILD_ROW_ALIGN
+    blocks = row_blocks(N, max(step, _BUILD_ROW_ALIGN))
     k = 1
     while k < N:
         m = min(k, N - k)
@@ -124,18 +125,6 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
         for rows in blocks:
             cols[rows] *= w[None, :] / w[rows, None]
     return OperatorMatrix(cols, space)
-
-
-def _row_blocks(N: int) -> list[slice]:
-    """Row slices of an N x N complex matrix, about ``_BUILD_BLOCK_BYTES`` each.
-
-    Every slice starts at a multiple of ``_BUILD_ROW_ALIGN``, and the last one
-    takes a single leftover row with it.
-    """
-    rows = max(_BUILD_ROW_ALIGN,
-               _BUILD_BLOCK_BYTES // (16 * N) // _BUILD_ROW_ALIGN * _BUILD_ROW_ALIGN)
-    starts = list(range(0, max(N - 1, 1), rows))
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [N])]
 
 
 def _flush_tiny(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,8 @@ import tempfile
 
 import numpy as np
 
+from .kernels import row_blocks
+
 __all__ = ["atomic_write_text", "write_csv", "write_json", "write_svg"]
 
 # Points per formatted block of an SVG file.
@@ -103,8 +105,8 @@ def write_svg(path, points, title: str = "Berezin range") -> None:
 
     def lines():
         yield "\n".join(parts) + "\n"
-        for s in range(0, len(xy), _SVG_BLOCK):
-            block = xy[s : s + _SVG_BLOCK]
+        for b in row_blocks(len(xy), _SVG_BLOCK):
+            block = xy[b]
             coords = np.column_stack([(block[:, 0] + half) * scale, (half - block[:, 1]) * scale])
             yield (marker * len(block)) % tuple(coords.ravel().tolist())
         yield "</svg>\n"

@@ -15,6 +15,8 @@ import dataclasses
 
 import numpy as np
 
+from .kernels import as_size
+
 __all__ = [
     "SymbolError",
     "SymbolSpec",
@@ -105,7 +107,7 @@ def symbol_series(symbol: SymbolSpec, truncation: int) -> np.ndarray:
     geometric series (no numerical differentiation), so the coefficients
     carry no cancellation error.
     """
-    N = int(truncation)
+    N = as_size(truncation, "truncation")
     if N < 1:
         raise ValueError("truncation must be >= 1")
     coeffs = np.zeros(N, dtype=complex)
@@ -136,10 +138,10 @@ def taylor_coeffs(symbol: SymbolSpec, power: int, truncation: int) -> np.ndarray
     Computed by repeated truncated power-series multiplication starting from
     ``symbol_series``; power 0 returns (1, 0, ..., 0).
     """
-    k = int(power)
+    k = as_size(power, "power")
     if k < 0:
         raise ValueError("power must be >= 0")
-    N = int(truncation)
+    N = as_size(truncation, "truncation")
     out = np.zeros(N, dtype=complex)
     out[0] = 1.0
     if k == 0:

@@ -222,10 +222,11 @@ _CATALOGUE_SYMBOLS = [symbols.elliptic(0.5j), symbols.elliptic(-0.8), symbols.el
 
 @pytest.mark.parametrize("grid", [
     cf.PolarGrid.regular(200, 256, 0.998),
+    cf.PolarGrid.regular(201, 256, 0.998),  # 8-row blocks: the leftover row joins the last
     cf.PolarGrid.regular(2000, 8, 0.998),  # 256-row blocks, a partial last one
     cf.PolarGrid.regular(37, 13, 0.998),
     cf.PolarGrid(np.array([0.5]), np.linspace(0.0, 6.0, 5)),  # a single radius
-], ids=["200x256", "2000x8", "37x13", "1x5"])
+], ids=["200x256", "201x256", "2000x8", "37x13", "1x5"])
 @pytest.mark.parametrize("block_bytes", [None, 16 * 13 * 5], ids=["default", "small"])
 def test_sample_range_equals_the_whole_mesh_formula(monkeypatch, grid, block_bytes):
     # The small blocks hold 5 rows of 13 angles: 37 = 7 * 5 + 2 rows.

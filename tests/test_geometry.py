@@ -610,12 +610,10 @@ def test_nearest_distances_on_a_berezin_range_coverage_grid(space, symbol, alpha
                                   reference_nearest(pts, queries))
 
 
-@pytest.mark.parametrize("pairs, batch", [(1, 1), (100, 30), (2000, 500)])
-def test_nearest_distances_in_small_passes_and_batches(monkeypatch, pairs, batch):
-    # Tiny limits split every pass and every batch, which full-size inputs
-    # rarely need.
+@pytest.mark.parametrize("pairs", [1, 100, 2000])
+def test_nearest_distances_in_small_passes(monkeypatch, pairs):
+    # Tiny limits split every pass, which full-size inputs rarely need.
     monkeypatch.setattr(geometry, "_NN_PAIRS", pairs)
-    monkeypatch.setattr(geometry, "_NN_BATCH", batch)
     rng = np.random.default_rng(11)
     pts = np.repeat(_cloud("annulus", 1500, rng), 2, axis=0)
     queries = rng.uniform(-1.2, 1.2, size=(1000, 2))
@@ -641,21 +639,16 @@ def test_nearest_distances_memory_is_bounded():
 
 @pytest.mark.parametrize("run", [1, 7, 100])
 def test_nearest_distances_in_short_runs(monkeypatch, run):
-    # Runs this short split tiles of every level between runs.
+    # Runs this short split tiles of every level between runs.  Queries
+    # repeated three times keep a tile of several queries down to the last
+    # level, where each becomes a tile of its own.
     monkeypatch.setattr(geometry, "_NN_RUN", run)
     rng = np.random.default_rng(12)
     pts = np.repeat(_cloud("disk", 800, rng), 2, axis=0)
-    queries = np.vstack([rng.uniform(-1.2, 1.2, size=(300, 2)), pts[:50]])
+    repeated = np.repeat(np.vstack([rng.uniform(-1.2, 1.2, size=(20, 2)), pts[100:110]]), 3, axis=0)
+    queries = np.vstack([rng.uniform(-1.2, 1.2, size=(300, 2)), pts[:50], repeated])
     np.testing.assert_array_equal(geometry._nearest_distances(pts, queries),
                                   reference_nearest(pts, queries))
-
-
-def test_blocks_cover_the_rows_and_leave_no_single_row_block(monkeypatch):
-    monkeypatch.setattr(geometry, "_CLOUD_BLOCK", 4)
-    for n in range(1, 14):
-        blocks = geometry._blocks(n)
-        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
-        assert all(b.stop - b.start >= 2 for b in blocks) or n == 1
 
 
 @pytest.mark.parametrize("block", [2, 3, 2**14])

@@ -580,6 +580,18 @@ def test_run_trials_rejects_empty_or_non_positive_dims(dims):
         ineq.run_trials(ineq.ScalarFunction.power(2), dims=dims, trials=5)
 
 
+def test_run_trials_sizes_must_be_integers():
+    f = ineq.ScalarFunction.power(2)
+    with pytest.raises(ValueError, match="^trials must be an integer, got 2.5$"):
+        ineq.run_trials(f, "identity", ("eq16",), trials=2.5)
+    with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
+        ineq.run_trials(f, "identity", ("eq16",), trials=3, dims=(2.5,))
+    want = ineq.run_trials(f, "identity", ("eq16",), trials=3, dims=(2, 3), seed=5)
+    got = ineq.run_trials(f, "identity", ("eq16",), trials=np.int64(3),
+                          dims=(np.int32(2), np.int64(3)), seed=5)
+    assert got.to_json_dict() == want.to_json_dict()
+
+
 def _gaussian(rng, d):
     return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
 

@@ -111,3 +111,15 @@ def test_points_off_the_open_disk_are_rejected(space, bad, reason):
         kernels.normalized_kernel_matrix(space, np.array([0.2, bad]), N)
     with pytest.raises(ValueError, match=reason):
         kernel_column(space, bad, N)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 64])
+def test_row_blocks_cover_the_rows_and_leave_no_single_row_block(rows):
+    for n in sorted({0, 1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1}):
+        blocks = kernels.row_blocks(n, rows)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.start % rows == 0 for b in blocks)
+        assert all(b.stop - b.start == rows for b in blocks[:-1])
+        assert all(b.stop - b.start <= rows + 1 for b in blocks[-1:])
+        if n >= 2 and rows >= 2:
+            assert all(b.stop - b.start >= 2 for b in blocks)

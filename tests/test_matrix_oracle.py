@@ -259,17 +259,6 @@ def test_row_blocked_build_is_byte_identical_to_one_product_per_doubling(symb, N
         assert got.tobytes() == reference_doubling_matrix(space, symb, N).tobytes()
 
 
-@pytest.mark.parametrize("N", [1, 2, 64, 65, 129, 1025, 4096])
-def test_row_blocks_cover_the_rows_in_aligned_blocks(N):
-    blocks = oracle._row_blocks(N)
-    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
-    assert blocks[0].start == 0 and blocks[-1].stop == N
-    assert all(b.start % oracle._BUILD_ROW_ALIGN == 0 for b in blocks)
-    assert all(b.stop - b.start >= min(2, N) for b in blocks)
-    most = max(oracle._BUILD_BLOCK_BYTES // (16 * N), oracle._BUILD_ROW_ALIGN) + 1
-    assert all(b.stop - b.start <= most for b in blocks)
-
-
 def test_composition_matrix_memory_is_one_matrix():
     # The N = 1024 matrix takes 16 MiB; the whole strided Toeplitz copy, the
     # N x m product and the Bergman reweighting's second matrix took 40 MiB.

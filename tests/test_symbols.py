@@ -96,3 +96,17 @@ def test_apply_accepts_disk_points():
 def test_labels_mention_parameters():
     assert "0.5" in symbols.blaschke(0.5).label
     assert symbols.elliptic(0.5).kind == "elliptic"
+
+
+def test_series_sizes_must_be_integers():
+    phi = symbols.blaschke(0.5)
+    with pytest.raises(ValueError, match="^truncation must be an integer, got 2.5$"):
+        symbols.symbol_series(phi, 2.5)
+    with pytest.raises(ValueError, match="^power must be an integer, got 2.5$"):
+        symbols.taylor_coeffs(phi, 2.5, 3)
+    with pytest.raises(ValueError, match="^truncation must be an integer, got 2.5$"):
+        symbols.taylor_coeffs(phi, 2, 2.5)
+    np.testing.assert_array_equal(symbols.symbol_series(phi, np.int64(3)),
+                                  symbols.symbol_series(phi, 3))
+    np.testing.assert_array_equal(symbols.taylor_coeffs(phi, np.int32(2), np.int64(3)),
+                                  symbols.taylor_coeffs(phi, 2, 3))

@@ -169,6 +169,13 @@ def test_write_svg_matches_per_point_reference_on_a_range(tmp_path):
     assert path.read_bytes() == _reference_svg(pts).encode("utf-8")
 
 
+def test_write_svg_merges_a_leftover_point_into_the_last_block(tmp_path):
+    path = tmp_path / "p.svg"
+    pts = np.random.default_rng(7).uniform(-1.5, 1.5, size=(output._SVG_BLOCK + 1, 2))
+    output.write_svg(path, pts)
+    assert path.read_bytes() == _reference_svg(pts).encode("utf-8")
+
+
 def test_svg_window_expands_for_large_values(tmp_path):
     path = tmp_path / "big.svg"
     output.write_svg(path, np.array([[3.0, 0.0]]))
