@@ -781,6 +781,9 @@ def run_trials(
     trials = as_size(trials, "trials")
     if trials < 0:
         raise ValueError("trials must be >= 0")
+    seed = as_size(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     root = np.random.SeedSequence(seed)
 
     # Per check, the least recorded slack as (slack, trial), and the earliest
@@ -865,7 +868,7 @@ def run_trials(
     pass_rate = cond18_pass / trials if "mapping" in checks and trials else None
     skipped = tuple(c for c in checks if c not in mins)
     return TrialReport(
-        seed=int(seed),
+        seed=seed,
         trials=trials,
         dims=dims,
         function=f.name,

@@ -18,6 +18,7 @@ __all__ = [
     "BERGMAN",
     "model_space",
     "normalized_kernel_matrix",
+    "kernel_scales",
     "disk_points",
     "as_size",
     "row_blocks",
@@ -124,3 +125,19 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
     else:
         powers /= np.sqrt((1.0 - s ** space.n) / (1.0 - s))
     return powers
+
+
+def kernel_scales(space: SpaceSpec, s, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(wt, c2)`` with normalized_kernel_matrix's column at a point w of
+    modulus |w|^2 = ``s`` equal to sqrt(c2) * wt_k * conj(w)^k, k < N.
+
+    wt holds the basis weights (sqrt(k+1) for Bergman, 1 otherwise) and c2,
+    shaped like ``s``, is 1 / k_w(w): 1 - s for Hardy, (1 - s)^2 for Bergman
+    and (1 - s) / (1 - s^n) for model(n).
+    """
+    s = np.asarray(s, dtype=float)
+    if space.kind == "bergman":
+        return np.sqrt(np.arange(1, N + 1, dtype=float)), (1.0 - s) ** 2
+    if space.kind == "hardy":
+        return np.ones(N), 1.0 - s
+    return np.ones(N), (1.0 - s) / (1.0 - s ** space.n)

@@ -12,12 +12,12 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import symbols as sym
 from .closed_form import PolarGrid, RangeSample
-from .kernels import (SpaceSpec, as_size, disk_points, model_space, normalized_kernel_matrix,
-                      row_blocks)
+from .kernels import (SpaceSpec, as_size, disk_points, kernel_scales, model_space,
+                      normalized_kernel_matrix, row_blocks)
 
 __all__ = [
     "OperatorMatrix",
@@ -29,11 +29,15 @@ __all__ = [
     "numerical_range_boundary",
 ]
 
-# Bytes of one complex kernel block in berezin_grid; the grid is evaluated in
-# chunks of points so its working set stays two blocks whatever its size.  At
-# 4 MiB the strided running product in normalized_kernel_matrix works on
-# cache-sized blocks, and verify's model suite (25,600 points at M <= 8) still
-# takes its points in one chunk.
+# Bytes of one chunk of berezin_grid's work, so that its working set does not
+# grow with the number of points.  The direct route takes its points in
+# chunks whose kernel block has this size: the block and its product with the
+# operator are two such blocks.  Every array of the ring route takes at most
+# an eighth of this size (512 KiB): its moduli come in runs whose coefficients
+# take that much, its diagonal table in row blocks of that size, and its
+# points in runs of _CHUNK_BYTES // 256 = 16,384, whose two Horner
+# accumulators take it.  Arrays that small stay in cache, and the heap they
+# leave behind is small too.
 _CHUNK_BYTES = 2**22
 
 # berezin_grid keeps the first M(w) rows at each point w: the smallest
@@ -187,31 +191,153 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     Each point w is evaluated on the leading M(w) x M(w) block only, with
     M(w) from ``_kernel_rows``: the rows it drops move the value by at most
     (2 tau_M + tau_M^2) ||C||_2 <= 2^-60 (1 + tau_M / 2), by the same bound.
-    Points are sorted by M (stably), and each group is taken in chunks of
-    about ``_CHUNK_BYTES`` (4 MiB) of kernel coefficients.  A chunk's kernel
-    block and its product with the operator are the working set, so memory
-    stays under 3 ``_CHUNK_BYTES`` plus the per-point arrays whatever the
-    number of points.
+    M depends on |w| alone, and the points are grouped by modulus (exact
+    equality); a modulus decides the route of its points:
+
+    * held by one point, the direct route: the kernel block, its product
+      with the M x M block and the conjugate reduction (``_direct_route``);
+    * shared by two or more points, the ring route: on the circle |w| = r
+      the value is a trigonometric polynomial whose 2M - 1 coefficients cost
+      one O(M^2) pass per modulus, after which each point costs O(M)
+      (``_ring_route``).
+
+    Both routes take their points in chunks of about ``_CHUNK_BYTES``, so
+    memory does not grow with the number of points.
     """
     _check_basis(op, space)
     ws = np.asarray(ws, dtype=complex)
     flat = disk_points(ws.ravel())
     rows = _kernel_rows(op, space, flat)
-    order = np.argsort(rows, kind="stable")
-    sizes, counts = np.unique(rows, return_counts=True)
+    lone, ix, held = _moduli(flat)
     vals = np.empty(flat.size, dtype=complex)
+    _direct_route(op, space, flat, rows, lone, vals)
+    _ring_route(op, space, flat, rows, ix, held, vals)
+    return vals.reshape(ws.shape)
+
+
+def _moduli(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lone, ix, held)``: the indices of the points alone on their modulus,
+    ascending, and of the others listed modulus by modulus, ``held[k]`` points
+    on the k-th shared modulus (exact equality of |w|)."""
+    radii = np.abs(flat)
+    order = np.argsort(radii)
+    radii = radii[order]
+    first = np.flatnonzero(np.r_[True, radii[1:] != radii[:-1]])
+    held = np.diff(np.r_[first, flat.size])  # points on each modulus
+    shared = held > 1
+    return np.sort(order[first[held == 1]]), order[np.repeat(shared, held)], held[shared]
+
+
+def _direct_route(op, space, flat, rows, ix, vals) -> None:
+    """Write the values at the points ``flat[ix]`` into ``vals``, one kernel
+    column and one M x M product per point.
+
+    The points are sorted by M (stably), and each group is taken in chunks
+    of about ``_CHUNK_BYTES`` of kernel coefficients.  A chunk's kernel
+    block and its product with the operator are the working set.
+    """
+    ix = ix[np.argsort(rows[ix], kind="stable")]
+    sizes, counts = np.unique(rows[ix], return_counts=True)
     start = 0
     for M, count in zip(sizes.tolist(), counts.tolist()):
         block = op.entries[:M, :M]
         step = max(1, _CHUNK_BYTES // (16 * M))
         for lo in range(start, start + count, step):
-            ix = order[lo:min(lo + step, start + count)]
-            v = normalized_kernel_matrix(space, flat[ix], M)
+            part = ix[lo:min(lo + step, start + count)]
+            v = normalized_kernel_matrix(space, flat[part], M)
             mv = block @ v
-            vals[ix] = np.einsum("ip,ip->p", np.conj(v, out=v), mv)
+            vals[part] = np.einsum("ip,ip->p", np.conj(v, out=v), mv)
             del v, mv  # free this chunk's blocks before the next one is built
         start += count
-    return vals.reshape(ws.shape)
+
+
+def _ring_route(op, space, flat, rows, ix, held, vals) -> None:
+    """Write the values at the points ``flat[ix]`` into ``vals``, modulus by modulus.
+
+    ``ix`` lists the points one modulus after another; modulus k holds
+    ``held[k]`` points.  With C' = diag(wt) C diag(wt) and c2
+    from ``kernels.kernel_scales``, a point w with |w|^2 = s has the value
+
+        c2(s) (sum_{d>=0} b_d(s) w^d + conj(sum_{d>=1} conj(b_{-d}(s)) w^d)),
+        b_d(s) = sum_m C'[m + d, m] s^m,  b_{-d}(s) = sum_m C'[m, m + d] s^m,
+
+    a trigonometric polynomial in w/|w| whose coefficients
+    (``_ring_coefficients``) cost O(M^2) per modulus.  Each point then costs
+    O(M): both polynomials are evaluated at w by Horner's rule.  The moduli
+    are taken in runs whose coefficients take an eighth of ``_CHUNK_BYTES``,
+    and their points in runs of ``_CHUNK_BYTES // 256``.
+    """
+    ring_end = np.cumsum(held)
+    first = ix[ring_end - held]
+    ring_rows = rows[first]
+    ring_s = np.abs(flat[first]) ** 2
+    ring_of = np.repeat(np.arange(held.size), held)
+    # runs of consecutive moduli with one M (M >= 1, so 0 marks both ends)
+    cuts = np.flatnonzero(np.diff(ring_rows, prepend=0, append=0)).tolist()
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        M = int(ring_rows[start])
+        step = max(1, _CHUNK_BYTES // (256 * M))
+        for k0 in range(start, stop, step):
+            k1 = min(k0 + step, stop)
+            wt, c2 = kernel_scales(space, ring_s[k0:k1], M)
+            coef = _ring_coefficients(op.entries[:M, :M], wt, ring_s[k0:k1])
+            points_end = ring_end[k1 - 1]
+            for lo in range(ring_end[k0] - held[k0], points_end, _CHUNK_BYTES // 256):
+                part = slice(lo, min(lo + _CHUNK_BYTES // 256, points_end))
+                ring = ring_of[part] - k0
+                w = flat[ix[part]]
+                y = coef[M - 1].take(ring, axis=1)
+                for d in range(M - 2, -1, -1):
+                    y *= w
+                    y += coef[d].take(ring, axis=1)
+                np.conj(y[1], out=y[1])
+                y[0] += y[1]
+                y[0] *= c2[ring]
+                vals[ix[part]] = y[0]
+
+
+def _ring_coefficients(block: np.ndarray, wt: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """coef[d, 0, k] = b_d(s_k) and, for d >= 1, coef[d, 1, k] = conj(b_{-d}(s_k)),
+    as in ``_ring_route``; coef[0, 1] is zero.
+
+    The diagonals of C' = diag(wt) block diag(wt) are laid out by
+    m = min(j, k) in row blocks (``_diagonals``) that take an eighth of
+    ``_CHUNK_BYTES``; one GEMM per block adds its powers s^m times its rows.
+    """
+    M = block.shape[0]
+    coef = np.empty((s.size, 2 * M), dtype=complex)
+    real = coef.view(float)
+    for m in row_blocks(M, max(1, _CHUNK_BYTES // (256 * M))):
+        table = _diagonals(block, wt, m).reshape(m.stop - m.start, -1).view(float)
+        powers = s[:, None] ** np.arange(m.start, m.stop)
+        if m.start:
+            real += powers @ table
+        else:
+            np.matmul(powers, table, out=real)
+        del table  # before the next block's table is built
+    return np.ascontiguousarray(coef.reshape(-1, 2, M).T)
+
+
+def _diagonals(block: np.ndarray, wt: np.ndarray, m: slice) -> np.ndarray:
+    """Rows ``m`` of the diagonals of C' = diag(wt) block diag(wt), indexed by
+    min(j, k): table[i, 0, d] = C'[m_i + d, m_i] and, for d >= 1,
+    table[i, 1, d] = conj(C'[m_i, m_i + d]), zero where m_i + d >= M."""
+    M = block.shape[0]
+    rows = m.stop - m.start
+    padded = np.zeros((rows, 2 * M), dtype=complex)
+    # skew[i, d] = padded[i, m_i + d], inside the buffer for every d < M
+    skew = as_strided(padded[:, m.start:], (rows, M),
+                      (padded.strides[0] + padded.strides[1], padded.strides[1]))
+    table = np.empty((rows, 2, M), dtype=complex)
+    for t, source in enumerate((block[:, m].T, block[m])):
+        padded[:, :M] = source
+        table[:, t] = skew
+    del padded, skew
+    np.conj(table[:, 1], out=table[:, 1])
+    table[:, 1, 0] = 0.0
+    weight = sliding_window_view(np.concatenate([wt, np.zeros(M - 1)]), M)[m]
+    table *= (wt[m, None] * weight)[:, None, :]
+    return table
 
 
 def l2_berezin_set(operator) -> np.ndarray:

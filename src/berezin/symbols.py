@@ -142,6 +142,8 @@ def taylor_coeffs(symbol: SymbolSpec, power: int, truncation: int) -> np.ndarray
     if k < 0:
         raise ValueError("power must be >= 0")
     N = as_size(truncation, "truncation")
+    if N < 1:
+        raise ValueError("truncation must be >= 1")
     out = np.zeros(N, dtype=complex)
     out[0] = 1.0
     if k == 0:

@@ -586,9 +586,13 @@ def test_run_trials_sizes_must_be_integers():
         ineq.run_trials(f, "identity", ("eq16",), trials=2.5)
     with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
         ineq.run_trials(f, "identity", ("eq16",), trials=3, dims=(2.5,))
+    with pytest.raises(ValueError, match="^seed must be an integer, got 2.5$"):
+        ineq.run_trials(f, "identity", ("eq16",), trials=3, seed=2.5)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ineq.run_trials(f, "identity", ("eq16",), trials=3, seed=-1)
     want = ineq.run_trials(f, "identity", ("eq16",), trials=3, dims=(2, 3), seed=5)
     got = ineq.run_trials(f, "identity", ("eq16",), trials=np.int64(3),
-                          dims=(np.int32(2), np.int64(3)), seed=5)
+                          dims=(np.int32(2), np.int64(3)), seed=np.int64(5))
     assert got.to_json_dict() == want.to_json_dict()
 
 

@@ -123,3 +123,18 @@ def test_row_blocks_cover_the_rows_and_leave_no_single_row_block(rows):
         assert all(b.stop - b.start <= rows + 1 for b in blocks[-1:])
         if n >= 2 and rows >= 2:
             assert all(b.stop - b.start >= 2 for b in blocks)
+
+
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(1),
+                                   kernels.model_space(6)], ids=lambda s: s.label)
+def test_kernel_scales_factor_the_kernel_columns(space):
+    # the ring route of berezin_grid reads the kernel through these factors
+    ws = np.array([0.0, 1e-200j, 0.3 - 0.4j, -0.9, 0.999j])
+    N = space.n or 40
+    s = np.abs(ws) ** 2
+    wt, c2 = kernels.kernel_scales(space, s, N)
+    assert wt.shape == (N,) and c2.shape == ws.shape
+    np.testing.assert_allclose(
+        kernels.normalized_kernel_matrix(space, ws, N),
+        np.sqrt(c2) * wt[:, None] * np.conj(ws) ** np.arange(N)[:, None], rtol=1e-14, atol=0,
+    )

@@ -371,6 +371,87 @@ def test_berezin_grid_keeps_mesh_shape_across_chunks(monkeypatch, N, chunk_point
     )
 
 
+# A mesh with its r = 0 ring; at N = 129 the outer moduli keep all 129 rows,
+# which the ring route pads to 11 x 12 powers.
+_RING_MESH = cf.PolarGrid.regular(40, 24, 0.99)
+
+
+@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
+def test_ring_route_on_a_mesh_equals_whole_matrix(symb):
+    ws = _RING_MESH.mesh()
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symb, 129)
+        got = oracle.berezin_grid(op, space, ws)
+        assert got.shape == ws.shape
+        np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
+
+
+def _route_sizes(monkeypatch):
+    """Record how many points each route of berezin_grid is given per call."""
+    sizes = {"direct": [], "ring": []}
+    direct, ring = oracle._direct_route, oracle._ring_route
+
+    def spy_direct(op, space, flat, rows, ix, vals):
+        sizes["direct"].append(ix.size)
+        direct(op, space, flat, rows, ix, vals)
+
+    def spy_ring(op, space, flat, rows, ix, held, vals):
+        sizes["ring"].append(ix.size)
+        ring(op, space, flat, rows, ix, held, vals)
+
+    monkeypatch.setattr(oracle, "_direct_route", spy_direct)
+    monkeypatch.setattr(oracle, "_ring_route", spy_ring)
+    return sizes
+
+
+def test_mixed_points_take_both_routes_in_input_order(monkeypatch):
+    # Mesh points share moduli, random points do not, and _EDGE_POINTS hold
+    # both kinds (1e-200 and -1e-200j share one, as do 0.999 and -0.999).
+    rng = np.random.default_rng(8)
+    lone = rng.uniform(0, 0.99, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
+    ws = np.concatenate([_RING_MESH.mesh().ravel(), _EDGE_POINTS, lone])
+    ws = ws[rng.permutation(ws.size)].reshape(3, -1)
+    sizes = _route_sizes(monkeypatch)
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), 129)
+        got = oracle.berezin_grid(op, space, ws)
+        assert got.shape == ws.shape
+        np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
+    assert min(sizes["direct"]) >= 50 and min(sizes["ring"]) >= _RING_MESH.mesh().size // 2
+    assert all(d + r == ws.size for d, r in zip(sizes["direct"], sizes["ring"]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_ring_route_on_model_spaces_equals_whole_matrix(n, monkeypatch):
+    sizes = _route_sizes(monkeypatch)
+    op = oracle.model_operator_matrix(n)
+    got = oracle.berezin_grid(op, op.space, _RING_MESH.mesh())
+    np.testing.assert_allclose(
+        got, reference_berezin_grid(op, op.space, _RING_MESH.mesh()), rtol=0, atol=1e-13
+    )
+    assert sizes["ring"][0] > 0.9 * _RING_MESH.mesh().size
+
+
+def test_ring_route_across_chunks(monkeypatch):
+    # Runs of one modulus and of 3 points, and diagonal row blocks of one or
+    # two rows: each modulus of 8 points spans three runs of points.
+    N = 129
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 256 * 3)
+    rng = np.random.default_rng(9)
+    a, b = rng.uniform(0, 0.7, (2, 20))
+    turns = [a + 1j * b, a - 1j * b, -a + 1j * b, -a - 1j * b,
+             b + 1j * a, b - 1j * a, -b + 1j * a, -b - 1j * a]
+    ws = np.concatenate([np.ravel(turns), _RING_MESH.mesh().ravel()])
+    radii = np.abs(ws[:160]).reshape(8, 20)
+    assert np.all(radii == radii[0])
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symbols.blaschke(0.3 + 0.4j), N)
+        np.testing.assert_allclose(
+            oracle.berezin_grid(op, space, ws), reference_berezin_grid(op, space, ws),
+            rtol=0, atol=1e-13,
+        )
+
+
 def test_berezin_grid_memory_is_bounded():
     # The whole 256 x 51,200 kernel matrix, its conjugate and its product
     # with the operator took about 600 MiB at once; a chunk keeps two blocks

@@ -110,3 +110,9 @@ def test_series_sizes_must_be_integers():
                                   symbols.symbol_series(phi, 3))
     np.testing.assert_array_equal(symbols.taylor_coeffs(phi, np.int32(2), np.int64(3)),
                                   symbols.taylor_coeffs(phi, 2, 3))
+
+
+@pytest.mark.parametrize("power, truncation", [(2, 0), (0, 0), (2, -1)])
+def test_taylor_coeffs_rejects_truncation_below_one(power, truncation):
+    with pytest.raises(ValueError, match="^truncation must be >= 1$"):
+        symbols.taylor_coeffs(symbols.blaschke(0.5), power, truncation)
