@@ -193,8 +193,6 @@ def cmd_ineq(args) -> int:
     from . import inequalities as ineq
     if args.trials < 1:
         raise ValueError("trials must be >= 1")
-    if args.seed < 0:
-        raise ValueError("seed must be >= 0")
     f = ineq.parse_function(args.f)
     if args.diag_only and not args.check:
         # diagonal mode exists to exercise the mapping identity; the

@@ -88,7 +88,8 @@ class PolarGrid:
         Uniform spacing in r^2 equidistributes |z|^2, the variable every
         closed form actually depends on.  A grid of fewer than 2 radii or 1
         angle, or whose complex mesh would take over 2^48 bytes, is refused
-        before anything is allocated.
+        before anything is allocated; an r_max too small for r_steps
+        distinct radii is refused by name.
         """
         if not (0.0 < r_max < 1.0):
             raise ValueError("r_max must lie in (0, 1)")
@@ -99,6 +100,9 @@ class PolarGrid:
             raise MemoryError(f"a {r_steps} x {theta_steps} grid needs "
                               f"{nbytes / 2**50:.3g} PiB per complex array")
         r = np.sqrt(np.linspace(0.0, r_max**2, r_steps))
+        if np.any(np.diff(r) <= 0):  # r_max^2 underflows, or nearly so
+            raise ValueError(f"r_max = {r_max!r} is too small for r_steps = {r_steps} "
+                             "distinct radii")
         t = np.linspace(0.0, TWO_PI, theta_steps, endpoint=False)
         return cls(r, t)
 

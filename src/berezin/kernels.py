@@ -93,12 +93,9 @@ def disk_points(ws) -> np.ndarray:
 
 def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarray:
     """Coordinates of the unit-norm kernel k̂_w in the orthonormal basis, one
-    column per point w of ``ws``.
-
-    Hardy basis {z^k}: entries sqrt(1-|w|^2) * conj(w)^k.
-    Bergman basis {sqrt(k+1) z^k}: entries (1-|w|^2) * sqrt(k+1) * conj(w)^k.
-    Model(n) basis {1, z, ..., z^(n-1)}: entries conj(w)^k / sqrt(norm_sq);
-    here the truncation must equal n exactly (the space is n-dimensional).
+    column per point w of ``ws``: sqrt(c2) * wt_k * conj(w)^k in row k, with
+    ``(wt, c2)`` from :func:`kernel_scales`.  For model(n) the truncation
+    must equal n exactly (the space is n-dimensional).
 
     Each column has unit Euclidean norm up to the geometric truncation tail
     |w|^(2N).
@@ -111,29 +108,24 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
             f"model({space.n}) coefficients require truncation == n, got {N}"
         )
     ws = disk_points(ws)
-    s = np.abs(ws) ** 2
+    wt, c2 = kernel_scales(space, np.abs(ws) ** 2, N)
     # row k holds conj(w)^k: a running product down the columns
     powers = np.empty((N, ws.size), dtype=complex)
     powers[0] = 1.0
     powers[1:] = np.conj(ws)
     np.cumprod(powers, axis=0, out=powers)
-    if space.kind == "hardy":
-        powers *= np.sqrt(1.0 - s)
-    elif space.kind == "bergman":
-        powers *= np.sqrt(np.arange(1, N + 1, dtype=float))[:, None]
-        powers *= 1.0 - s
-    else:
-        powers /= np.sqrt((1.0 - s ** space.n) / (1.0 - s))
+    powers *= wt[:, None]
+    powers *= np.sqrt(c2)
     return powers
 
 
 def kernel_scales(space: SpaceSpec, s, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(wt, c2)`` with normalized_kernel_matrix's column at a point w of
-    modulus |w|^2 = ``s`` equal to sqrt(c2) * wt_k * conj(w)^k, k < N.
+    """``(wt, c2)``, the one statement of each space's scaling: the basis
+    weights wt_k, k < N, and c2 = 1 / k_w(w) at |w|^2 = ``s``, shaped like ``s``.
 
-    wt holds the basis weights (sqrt(k+1) for Bergman, 1 otherwise) and c2,
-    shaped like ``s``, is 1 / k_w(w): 1 - s for Hardy, (1 - s)^2 for Bergman
-    and (1 - s) / (1 - s^n) for model(n).
+    Hardy, basis {z^k}: wt = 1 and c2 = 1 - s.
+    Bergman, basis {sqrt(k+1) z^k}: wt = sqrt(k+1) and c2 = (1 - s)^2.
+    Model(n), basis {1, z, ..., z^(n-1)}: wt = 1 and c2 = (1 - s) / (1 - s^n).
     """
     s = np.asarray(s, dtype=float)
     if space.kind == "bergman":

@@ -191,8 +191,9 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     Each point w is evaluated on the leading M(w) x M(w) block only, with
     M(w) from ``_kernel_rows``: the rows it drops move the value by at most
     (2 tau_M + tau_M^2) ||C||_2 <= 2^-60 (1 + tau_M / 2), by the same bound.
-    M depends on |w| alone, and the points are grouped by modulus (exact
-    equality); a modulus decides the route of its points:
+    M depends on |w| alone: the points are sorted by modulus once (exact
+    equality of |w|), M is found per modulus, and each run of moduli with one
+    M shares its block.  In a run, a modulus decides the route of its points:
 
     * held by one point, the direct route: the kernel block, its product
       with the M x M block and the conjugate reduction (``_direct_route``);
@@ -207,56 +208,53 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     _check_basis(op, space)
     ws = np.asarray(ws, dtype=complex)
     flat = disk_points(ws.ravel())
-    rows = _kernel_rows(op, space, flat)
-    lone, ix, held = _moduli(flat)
-    vals = np.empty(flat.size, dtype=complex)
-    _direct_route(op, space, flat, rows, lone, vals)
-    _ring_route(op, space, flat, rows, ix, held, vals)
-    return vals.reshape(ws.shape)
-
-
-def _moduli(flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(lone, ix, held)``: the indices of the points alone on their modulus,
-    ascending, and of the others listed modulus by modulus, ``held[k]`` points
-    on the k-th shared modulus (exact equality of |w|)."""
+    if not flat.size:
+        return np.empty(ws.shape, dtype=complex)
     radii = np.abs(flat)
     order = np.argsort(radii)
     radii = radii[order]
-    first = np.flatnonzero(np.r_[True, radii[1:] != radii[:-1]])
-    held = np.diff(np.r_[first, flat.size])  # points on each modulus
-    shared = held > 1
-    return np.sort(order[first[held == 1]]), order[np.repeat(shared, held)], held[shared]
+    # the k-th modulus (exact equality of |w|) starts at bounds[k] in ``order``
+    bounds = np.append(np.flatnonzero(np.r_[True, radii[1:] != radii[:-1]]), flat.size)
+    del radii  # free the sorted moduli before the routes allocate theirs
+    held = np.diff(bounds)  # points on each modulus
+    alone = np.repeat(held == 1, held)  # per point of ``order``
+    rows = _kernel_rows(op, space, flat[order[bounds[:-1]]])
+    # runs of consecutive moduli with one M (M >= 1, so 0 marks both ends); M
+    # never decreases as |w| grows, but the runs do not rely on that
+    cuts = np.flatnonzero(np.diff(rows, prepend=0, append=0)).tolist()
+    vals = np.empty(flat.size, dtype=complex)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        block = op.entries[:rows[a], :rows[a]]
+        run, lone, h = order[bounds[a]:bounds[b]], alone[bounds[a]:bounds[b]], held[a:b]
+        # lone points in input order: a column's last bit can depend on its
+        # place in the GEMM, and the recorded outputs used this order
+        _direct_route(space, block, flat, np.sort(run[lone]), vals)
+        if h.size < run.size:  # some modulus of the run holds two or more points
+            _ring_route(space, block, flat, run[~lone], h[h > 1], vals)
+    return vals.reshape(ws.shape)
 
 
-def _direct_route(op, space, flat, rows, ix, vals) -> None:
+def _direct_route(space, block, flat, ix, vals) -> None:
     """Write the values at the points ``flat[ix]`` into ``vals``, one kernel
-    column and one M x M product per point.
-
-    The points are sorted by M (stably), and each group is taken in chunks
-    of about ``_CHUNK_BYTES`` of kernel coefficients.  A chunk's kernel
-    block and its product with the operator are the working set.
+    column and one product with the M x M ``block`` per point, in chunks of
+    about ``_CHUNK_BYTES`` of kernel coefficients.  A chunk's kernel block
+    and its product with the operator are the working set.
     """
-    ix = ix[np.argsort(rows[ix], kind="stable")]
-    sizes, counts = np.unique(rows[ix], return_counts=True)
-    start = 0
-    for M, count in zip(sizes.tolist(), counts.tolist()):
-        block = op.entries[:M, :M]
-        step = max(1, _CHUNK_BYTES // (16 * M))
-        for lo in range(start, start + count, step):
-            part = ix[lo:min(lo + step, start + count)]
-            v = normalized_kernel_matrix(space, flat[part], M)
-            mv = block @ v
-            vals[part] = np.einsum("ip,ip->p", np.conj(v, out=v), mv)
-            del v, mv  # free this chunk's blocks before the next one is built
-        start += count
+    step = max(1, _CHUNK_BYTES // (16 * block.shape[0]))
+    for lo in range(0, ix.size, step):
+        part = ix[lo:lo + step]
+        v = normalized_kernel_matrix(space, flat[part], block.shape[0])
+        mv = block @ v
+        vals[part] = np.einsum("ip,ip->p", np.conj(v, out=v), mv)
+        del v, mv  # free this chunk's blocks before the next one is built
 
 
-def _ring_route(op, space, flat, rows, ix, held, vals) -> None:
+def _ring_route(space, block, flat, ix, held, vals) -> None:
     """Write the values at the points ``flat[ix]`` into ``vals``, modulus by modulus.
 
     ``ix`` lists the points one modulus after another; modulus k holds
-    ``held[k]`` points.  With C' = diag(wt) C diag(wt) and c2
-    from ``kernels.kernel_scales``, a point w with |w|^2 = s has the value
+    ``held[k]`` points.  With C' = diag(wt) C diag(wt) for C = ``block`` and
+    c2 from ``kernels.kernel_scales``, a point w with |w|^2 = s has the value
 
         c2(s) (sum_{d>=0} b_d(s) w^d + conj(sum_{d>=1} conj(b_{-d}(s)) w^d)),
         b_d(s) = sum_m C'[m + d, m] s^m,  b_{-d}(s) = sum_m C'[m, m + d] s^m,
@@ -267,33 +265,28 @@ def _ring_route(op, space, flat, rows, ix, held, vals) -> None:
     are taken in runs whose coefficients take an eighth of ``_CHUNK_BYTES``,
     and their points in runs of ``_CHUNK_BYTES // 256``.
     """
+    M = block.shape[0]
     ring_end = np.cumsum(held)
-    first = ix[ring_end - held]
-    ring_rows = rows[first]
-    ring_s = np.abs(flat[first]) ** 2
+    ring_s = np.abs(flat[ix[ring_end - held]]) ** 2
     ring_of = np.repeat(np.arange(held.size), held)
-    # runs of consecutive moduli with one M (M >= 1, so 0 marks both ends)
-    cuts = np.flatnonzero(np.diff(ring_rows, prepend=0, append=0)).tolist()
-    for start, stop in zip(cuts[:-1], cuts[1:]):
-        M = int(ring_rows[start])
-        step = max(1, _CHUNK_BYTES // (256 * M))
-        for k0 in range(start, stop, step):
-            k1 = min(k0 + step, stop)
-            wt, c2 = kernel_scales(space, ring_s[k0:k1], M)
-            coef = _ring_coefficients(op.entries[:M, :M], wt, ring_s[k0:k1])
-            points_end = ring_end[k1 - 1]
-            for lo in range(ring_end[k0] - held[k0], points_end, _CHUNK_BYTES // 256):
-                part = slice(lo, min(lo + _CHUNK_BYTES // 256, points_end))
-                ring = ring_of[part] - k0
-                w = flat[ix[part]]
-                y = coef[M - 1].take(ring, axis=1)
-                for d in range(M - 2, -1, -1):
-                    y *= w
-                    y += coef[d].take(ring, axis=1)
-                np.conj(y[1], out=y[1])
-                y[0] += y[1]
-                y[0] *= c2[ring]
-                vals[ix[part]] = y[0]
+    step = max(1, _CHUNK_BYTES // (256 * M))
+    for k0 in range(0, held.size, step):
+        k1 = min(k0 + step, held.size)
+        wt, c2 = kernel_scales(space, ring_s[k0:k1], M)
+        coef = _ring_coefficients(block, wt, ring_s[k0:k1])
+        points_end = ring_end[k1 - 1]
+        for lo in range(ring_end[k0] - held[k0], points_end, _CHUNK_BYTES // 256):
+            part = slice(lo, min(lo + _CHUNK_BYTES // 256, points_end))
+            ring = ring_of[part] - k0
+            w = flat[ix[part]]
+            y = coef[M - 1].take(ring, axis=1)
+            for d in range(M - 2, -1, -1):
+                y *= w
+                y += coef[d].take(ring, axis=1)
+            np.conj(y[1], out=y[1])
+            y[0] += y[1]
+            y[0] *= c2[ring]
+            vals[ix[part]] = y[0]
 
 
 def _ring_coefficients(block: np.ndarray, wt: np.ndarray, s: np.ndarray) -> np.ndarray:

@@ -138,6 +138,17 @@ class TestRange:
         assert f"tolerance must be finite and > 0, got {tol}" in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    def test_r_max_too_small_for_distinct_radii_exits_2(self, tmp_path):
+        # r_max^2 underflows, so every radius would be 0
+        proc = run_cli(
+            ["range", "--space", "hardy", "--symbol", "elliptic", "--alpha", "0.5",
+             "--r-max", "1e-170"],
+            tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "r_max = 1e-170 is too small for r_steps = 200 distinct radii" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     def test_missing_alpha_exits_2(self, tmp_path):
         proc = run_cli(
             ["range", "--space", "bergman", "--symbol", "blaschke"], tmp_path

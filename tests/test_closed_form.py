@@ -185,6 +185,15 @@ def test_regular_grid_needs_two_radii_and_one_angle(r_steps, theta_steps):
         cf.PolarGrid.regular(r_steps, theta_steps, 0.9)
 
 
+@pytest.mark.parametrize("r_max, r_steps", [(1e-170, 200), (1e-200, 2), (1e-160, 10**4)])
+def test_regular_grid_names_an_r_max_too_small_for_distinct_radii(r_max, r_steps):
+    # r_max^2 underflows to 0, or to too few subnormals for r_steps radii
+    with pytest.raises(ValueError, match=f"^r_max = {r_max!r} is too small for "
+                                         f"r_steps = {r_steps} distinct radii$"):
+        cf.PolarGrid.regular(r_steps, 4, r_max)
+    assert cf.PolarGrid.regular(2, 4, 1e-150).r_values[1] == 1e-150
+
+
 def test_regular_grid_too_large_is_refused_before_allocating():
     import tracemalloc
 

@@ -128,13 +128,50 @@ def test_row_blocks_cover_the_rows_and_leave_no_single_row_block(rows):
 @pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(1),
                                    kernels.model_space(6)], ids=lambda s: s.label)
 def test_kernel_scales_factor_the_kernel_columns(space):
-    # the ring route of berezin_grid reads the kernel through these factors
+    # wt are the basis weights and c2 = 1 / k_w(w); the kernel columns and the
+    # ring route of berezin_grid both read the space's scaling from here
     ws = np.array([0.0, 1e-200j, 0.3 - 0.4j, -0.9, 0.999j])
     N = space.n or 40
-    s = np.abs(ws) ** 2
-    wt, c2 = kernels.kernel_scales(space, s, N)
+    wt, c2 = kernels.kernel_scales(space, np.abs(ws) ** 2, N)
     assert wt.shape == (N,) and c2.shape == ws.shape
-    np.testing.assert_allclose(
-        kernels.normalized_kernel_matrix(space, ws, N),
-        np.sqrt(c2) * wt[:, None] * np.conj(ws) ** np.arange(N)[:, None], rtol=1e-14, atol=0,
-    )
+    np.testing.assert_array_equal(wt, basis_values(space, 1.0, N))
+    np.testing.assert_allclose(c2, 1.0 / reference_kernel(space, ws, ws).real, rtol=1e-13, atol=0)
+
+
+def kernel_matrix_per_space(space, ws, N):
+    """normalized_kernel_matrix's arithmetic written out with one scaling
+    formula per space: the reference its bits are pinned to."""
+    ws = np.asarray(ws, dtype=complex)
+    s = np.abs(ws) ** 2
+    powers = np.empty((N, ws.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.conj(ws)
+    np.cumprod(powers, axis=0, out=powers)
+    if space.kind == "hardy":
+        powers *= np.sqrt(1.0 - s)
+    elif space.kind == "bergman":
+        powers *= np.sqrt(np.arange(1, N + 1, dtype=float))[:, None]
+        powers *= 1.0 - s
+    else:
+        powers /= np.sqrt((1.0 - s ** space.n) / (1.0 - s))
+    return powers
+
+
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN, kernels.model_space(1),
+                                   kernels.model_space(6)], ids=lambda s: s.label)
+def test_kernel_matrix_keeps_its_per_space_arithmetic(space):
+    # Hardy's weights are ones and Bergman's sqrt((1 - s)^2) is 1 - s exactly,
+    # so both match the per-space formulas bit for bit; model(n)'s product
+    # with sqrt(c2) and the quotient by sqrt(1 / c2) differ by rounding only.
+    rng = np.random.default_rng(4)
+    ws = np.concatenate([
+        [0.0, 1e-200, 0.3 - 0.4j, 1 - 2.0**-52],
+        rng.uniform(0, 0.999, 100) * np.exp(2j * np.pi * rng.uniform(size=100)),
+    ])
+    for N in ([space.n] if space.kind == "model" else [1, 2, 300]):
+        got = kernels.normalized_kernel_matrix(space, ws, N)
+        before = kernel_matrix_per_space(space, ws, N)
+        if space.kind == "model":
+            np.testing.assert_allclose(got, before, rtol=1e-15, atol=0)
+        else:
+            assert np.array_equal(got, before)

@@ -386,21 +386,29 @@ def test_ring_route_on_a_mesh_equals_whole_matrix(symb):
         np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
 
 
-def _route_sizes(monkeypatch):
-    """Record how many points each route of berezin_grid is given per call."""
+def _route_sizes(monkeypatch, blocks=None):
+    """Record how many points each route of berezin_grid is given, summed
+    over the route calls of each berezin_grid call; ``blocks`` collects
+    (route, M, the points given) per route call."""
     sizes = {"direct": [], "ring": []}
-    direct, ring = oracle._direct_route, oracle._ring_route
+    grid, direct, ring = oracle.berezin_grid, oracle._direct_route, oracle._ring_route
 
-    def spy_direct(op, space, flat, rows, ix, vals):
-        sizes["direct"].append(ix.size)
-        direct(op, space, flat, rows, ix, vals)
+    def spy_grid(*args):
+        for route in sizes.values():
+            route.append(0)
+        return grid(*args)
 
-    def spy_ring(op, space, flat, rows, ix, held, vals):
-        sizes["ring"].append(ix.size)
-        ring(op, space, flat, rows, ix, held, vals)
+    def spy(route, call):
+        def spied(space, block, flat, ix, *rest):
+            sizes[route][-1] += ix.size
+            if blocks is not None:
+                blocks.append((route, block.shape[0], flat[ix]))
+            call(space, block, flat, ix, *rest)
+        return spied
 
-    monkeypatch.setattr(oracle, "_direct_route", spy_direct)
-    monkeypatch.setattr(oracle, "_ring_route", spy_ring)
+    monkeypatch.setattr(oracle, "berezin_grid", spy_grid)
+    monkeypatch.setattr(oracle, "_direct_route", spy("direct", direct))
+    monkeypatch.setattr(oracle, "_ring_route", spy("ring", ring))
     return sizes
 
 
@@ -450,6 +458,36 @@ def test_ring_route_across_chunks(monkeypatch):
             oracle.berezin_grid(op, space, ws), reference_berezin_grid(op, space, ws),
             rtol=0, atol=1e-13,
         )
+
+
+def test_runs_of_one_row_count_take_both_routes(monkeypatch):
+    # Lone moduli among shared ones (eight turns of a + bi share a modulus),
+    # shuffled, at N = 1024: some runs of one M hold points of both routes,
+    # and each route call gets the block of its run.
+    rng = np.random.default_rng(10)
+    a, b = rng.uniform(0, 0.7, (2, 30))
+    turns = [a + 1j * b, a - 1j * b, -a + 1j * b, -a - 1j * b,
+             b + 1j * a, b - 1j * a, -b + 1j * a, -b - 1j * a]
+    lone = rng.uniform(0, 0.99, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
+    ws = np.concatenate([np.ravel(turns), lone, _EDGE_POINTS])
+    ws = ws[rng.permutation(ws.size)]
+    calls = []
+    sizes = _route_sizes(monkeypatch, calls)
+    for i, space in enumerate((kernels.HARDY, kernels.BERGMAN)):
+        calls.clear()
+        op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), 1024)
+        np.testing.assert_allclose(
+            oracle.berezin_grid(op, space, ws), reference_berezin_grid(op, space, ws),
+            rtol=0, atol=1e-13,
+        )
+        assert sizes["direct"][i] + sizes["ring"][i] == ws.size
+        both = {M for route, M, w in calls if route == "direct" and w.size} & {
+            M for route, M, w in calls if route == "ring" and w.size}
+        assert len(both) >= 3
+        assert all(np.all(oracle._kernel_rows(op, space, w) == M) for _, M, w in calls)
+        # at most one call per route and run, and one run per M, in increasing M
+        for route in sizes:
+            assert np.all(np.diff([M for r, M, _ in calls if r == route]) > 0)
 
 
 def test_berezin_grid_memory_is_bounded():
