@@ -51,13 +51,17 @@ _TAIL_BUDGET = 2.0**-60
 # are kept is then normal, so its GEMMs never meet subnormal operands.
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
 
-# composition_matrix writes each doubling's product, and the Bergman weights,
-# in kernels.row_blocks of about _BUILD_BLOCK_BYTES of the N x N matrix.  The
-# block size is a multiple of _BUILD_ROW_ALIGN rows, so every row meets the
-# same GEMM micro-kernel as in one whole product and the matrix's bytes do not
-# depend on the blocking.
-_BUILD_BLOCK_BYTES = 2**21
-_BUILD_ROW_ALIGN = 64
+# composition_matrix takes each doubling's lower-triangular Toeplitz product,
+# and the Bergman weights, in bands of _BUILD_BAND rows that start at
+# multiples of it (kernels.row_blocks).  A band stops at row b and its
+# Toeplitz rows are zero past column b, so its product sums over the first b
+# rows of the columns already built only.  A band's sum over K = b does not
+# depend on N, so a build is the leading block of every larger one whenever
+# both N are multiples of the band.  OpenBLAS's SkylakeX ZGEMM sums over K in
+# panels of 128, so at 128 rows a band also meets the same panels as a whole
+# product's sum over K = N (64-row bands move entries by up to 2.1e-15);
+# kernels with other panels, such as Haswell's, keep only the leading blocks.
+_BUILD_BAND = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,16 +72,24 @@ class OperatorMatrix:
     space: SpaceSpec
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("operator matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("operator matrix entries must be finite")
-        object.__setattr__(self, "entries", m)
+        object.__setattr__(self, "entries", _square_matrix(self.entries))
 
     @property
     def truncation(self) -> int:
         return self.entries.shape[0]
+
+
+def _square_matrix(entries) -> np.ndarray:
+    """``entries`` as a complex array, checked to be a non-empty, square and
+    finite matrix; each failure raises ``ValueError`` naming it."""
+    m = np.asarray(entries, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator matrix must be square, got shape {m.shape}")
+    if not m.size:
+        raise ValueError("operator matrix must not be empty")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("operator matrix entries must be finite")
+    return m
 
 
 def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> OperatorMatrix:
@@ -97,10 +109,18 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     of each new block are set to zero; entries move by about 1e-151 at most
     (3e-151 for Blaschke alpha = 0.3i at N = 1024).
 
-    Each product, and the Bergman reweighting, is written into the matrix in
-    row blocks of about 2 MiB (``kernels.row_blocks``), so the working set is
-    the N x N matrix plus a few such blocks: about 17 MiB at N = 1024, and
-    one 85 MB matrix plus 2 MiB blocks at N = 2304.
+    Each product is taken in bands of ``_BUILD_BAND`` rows: the band of rows
+    a..b-1 is its Toeplitz rows' first b columns times the first b rows of
+    columns 0..m-1, since the rest of those Toeplitz rows is zero.  That
+    skips about half the product's arithmetic, and every band is written
+    straight into the matrix, as is the Bergman reweighting.  The working
+    set is the N x N matrix plus a band or two of at most 128 x N entries
+    (2 MiB at N = 1024): about 17 MiB at N = 1024, and one 85 MB matrix at
+    N = 2304.  When N is a multiple of 128 the build is the leading N x N
+    block of any larger such build and, with OpenBLAS's SkylakeX kernels, its
+    bytes are those of one whole product per doubling.  Elsewhere an entry
+    can differ from the whole product's in the last bit (by at most 2e-16 at
+    N = 192).
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
@@ -110,8 +130,7 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     base = _flush_tiny(sym.symbol_series(symbol, N))
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
-    step = _BUILD_BLOCK_BYTES // (16 * N) // _BUILD_ROW_ALIGN * _BUILD_ROW_ALIGN
-    blocks = row_blocks(N, max(step, _BUILD_ROW_ALIGN))
+    bands = row_blocks(N, _BUILD_BAND)
     k = 1
     while k < N:
         m = min(k, N - k)
@@ -119,14 +138,14 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
         # toeplitz[i, j] = power[i - j] for i >= j, else 0
         padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
         toeplitz = sliding_window_view(padded[::-1], N)[::-1]
-        for rows in blocks:
+        for rows in bands:
             out = cols[rows, k:k + m]
-            np.matmul(toeplitz[rows], cols[:, :m], out=out)
+            np.matmul(toeplitz[rows, :rows.stop], cols[:rows.stop, :m], out=out)
             _flush_tiny(out)
         k += m
     if space.kind == "bergman":
         w = np.sqrt(np.arange(1, N + 1, dtype=float))
-        for rows in blocks:
+        for rows in bands:
             cols[rows] *= w[None, :] / w[rows, None]
     return OperatorMatrix(cols, space)
 
@@ -371,17 +390,23 @@ def model_berezin_range(n: int, grid: PolarGrid) -> RangeSample:
 def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
     """Inscribed-polygon sample of the numerical range boundary.
 
-    For each direction theta_m = 2*pi*m/M the top eigenvector u of the
-    Hermitian part of exp(-i theta_m) A is computed and <A u, u> recorded;
+    For each direction theta_m = 2*pi*m/M the top eigenvector u of H_m, the
+    Hermitian part of exp(-i theta_m) A, is computed and <A u, u> recorded;
     the convex hull of the returned (M, 2) points approximates W(A) from
-    inside.
+    inside.  For even M, direction m + M/2 has Hermitian part -H_m, whose
+    top eigenvector is the bottom one of H_m: one ``eigh`` serves both
+    directions.  An odd M takes one ``eigh`` per direction.
+
+    ``op`` is an :class:`OperatorMatrix` or a non-empty, square and finite
+    matrix; any other input raises ``ValueError``.
     """
-    A = op.entries if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
+    A = op.entries if isinstance(op, OperatorMatrix) else _square_matrix(op)
     M = as_size(directions, "directions")
     if M < 3:
         raise ValueError("need at least 3 directions")
+    half = M // 2 if M % 2 == 0 else M
     points = np.empty(M, dtype=complex)
-    for m in range(M):
+    for m in range(half):
         rotated = np.exp(-2j * np.pi * m / M) * A
         herm = 0.5 * (rotated + rotated.conj().T)
         try:
@@ -392,4 +417,7 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
             ) from exc
         u = vecs[:, -1]
         points[m] = np.vdot(u, A @ u)
+        if half < M:
+            u = vecs[:, 0]
+            points[m + half] = np.vdot(u, A @ u)
     return np.column_stack([points.real, points.imag])

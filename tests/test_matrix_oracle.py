@@ -120,12 +120,13 @@ def test_numerical_range_of_diagonal_is_segment():
     assert pts[:, 0].max() <= 2.0 + 1e-12
 
 
-def test_numerical_range_of_nilpotent_jordan_block():
-    # 2x2 Jordan block: the numerical range is the closed disk of radius 1/2
-    block = np.array([[0.0, 1.0], [0.0, 0.0]])
-    pts = oracle.numerical_range_boundary(block, 360)
+@pytest.mark.parametrize("n, M", [(2, 360), (65, 180), (65, 181)])
+def test_numerical_range_of_nilpotent_jordan_block(n, M):
+    # n x n Jordan block: the numerical range is the closed disk of radius
+    # cos(pi / (n + 1)), 1/2 for n = 2
+    pts = oracle.numerical_range_boundary(np.eye(n, k=1), M)
     radii = np.hypot(pts[:, 0], pts[:, 1])
-    np.testing.assert_allclose(radii, 0.5, atol=1e-12)
+    np.testing.assert_allclose(radii, np.cos(np.pi / (n + 1)), rtol=0, atol=1e-12)
 
 
 def test_numerical_range_hermitian_matches_eigenvalue_interval():
@@ -137,6 +138,38 @@ def test_numerical_range_hermitian_matches_eigenvalue_interval():
     np.testing.assert_allclose(pts[:, 1], 0.0, atol=1e-10)
     np.testing.assert_allclose(pts[:, 0].min(), eigs[0], atol=1e-10)
     np.testing.assert_allclose(pts[:, 0].max(), eigs[-1], atol=1e-10)
+
+
+@pytest.mark.parametrize("M", [180, 181])
+@pytest.mark.parametrize("A", [
+    np.random.default_rng(21).normal(size=(2, 7, 7)).T @ np.array([1.0, 1j]),
+    oracle.model_operator_matrix(65).entries,
+], ids=["random7", "shift65"])
+def test_numerical_range_points_attain_the_support_function(A, M):
+    # Re(exp(-i theta_m) p_m) = <H_m u, u> for the unit vector u behind p_m,
+    # which is lambda_max(H_m) exactly when u is a top eigenvector; for even
+    # M the directions m + M/2 read the bottom eigenvector of H_m
+    pts = oracle.numerical_range_boundary(A, M)
+    p = pts[:, 0] + 1j * pts[:, 1]
+    scale = np.linalg.norm(A, 2)
+    for m in range(M):
+        rot = np.exp(-2j * np.pi * m / M)
+        herm = 0.5 * (rot * A + (rot * A).conj().T)
+        top = np.linalg.eigvalsh(herm)[-1]
+        assert abs((rot * p[m]).real - top) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad, reason", [
+    (np.zeros((2, 3)), "must be square"),
+    (np.ones(4), "must be square"),
+    (np.zeros((0, 0)), "must not be empty"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), "must be finite"),
+], ids=["2x3", "1-D", "0x0", "NaN"])
+def test_numerical_range_rejects_a_bad_matrix_by_name(bad, reason):
+    with pytest.raises(ValueError, match=reason):
+        oracle.numerical_range_boundary(bad, 180)
+    with pytest.raises(ValueError, match=reason):
+        oracle.OperatorMatrix(bad, kernels.HARDY)
 
 
 def test_berezin_samples_inside_numerical_range():
@@ -300,6 +333,17 @@ def test_leading_block_is_the_smaller_build(space, symb):
     head = oracle.OperatorMatrix(block, space)
     assert (oracle.berezin_grid(head, space, ws).tobytes()
             == oracle.berezin_grid(small, space, ws).tobytes())
+
+
+@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
+def test_every_band_multiple_build_is_a_leading_block(symb):
+    # Builds at N = 128 j share their bands with the N = 1024 build, and each
+    # band's sum over K stops at the band's last row, so no byte depends on N
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        big = oracle.composition_matrix(space, symb, 1024).entries
+        for N in range(oracle._BUILD_BAND, 1024, oracle._BUILD_BAND):
+            small = oracle.composition_matrix(space, symb, N).entries
+            assert small.tobytes() == big[:N, :N].tobytes(), (space.label, N)
 
 
 @pytest.mark.parametrize(
