@@ -46,22 +46,12 @@ _CHUNK_BYTES = 2**22
 _ROW_STEP = 32
 _TAIL_BUDGET = 2.0**-60
 
-# composition_matrix sets every real or imaginary part below this to zero,
-# the square root of the smallest normal double: a product of two parts that
-# are kept is then normal, so its GEMMs never meet subnormal operands.
+# composition_matrix sets every real or imaginary part of its matrix below
+# this, the square root of the smallest normal double, to zero, so that
+# berezin_grid's GEMMs meet no subnormal operands from the matrix.  The
+# recurrence that builds the matrix runs through subnormals unflushed: one
+# pass at the end costs less than a flush per diagonal.
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
-
-# composition_matrix takes each doubling's lower-triangular Toeplitz product,
-# and the Bergman weights, in bands of _BUILD_BAND rows that start at
-# multiples of it (kernels.row_blocks).  A band stops at row b and its
-# Toeplitz rows are zero past column b, so its product sums over the first b
-# rows of the columns already built only.  A band's sum over K = b does not
-# depend on N, so a build is the leading block of every larger one whenever
-# both N are multiples of the band.  OpenBLAS's SkylakeX ZGEMM sums over K in
-# panels of 128, so at 128 rows a band also meets the same panels as a whole
-# product's sum over K = N (64-row bands move entries by up to 2.1e-15);
-# kernels with other panels, such as Haswell's, keep only the leading blocks.
-_BUILD_BAND = 128
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,60 +91,68 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     orthonormal.  Elliptic symbols give the diagonal matrix diag(alpha^k)
     in both spaces (the weights cancel on the diagonal).
 
-    The columns are built by block doubling: once columns 0..k-1 exist,
-    columns k..2k-1 are phi^k * phi^j, i.e. the lower-triangular Toeplitz
-    matrix of phi^k's coefficients times columns 0..k-1, one GEMM per
-    doubling instead of one convolution per column.  Parts below
-    ``_FLUSH_BELOW`` (about 1.5e-154) of the symbol series, of each phi^k and
-    of each new block are set to zero; entries move by about 1e-151 at most
-    (3e-151 for Blaschke alpha = 0.3i at N = 1024).
+    Every symbol is linear-fractional, phi(z) = (a z + b)/(c z + d)
+    (``symbols.mobius_coefficients``), so (c z + d) phi^k = (a z + b) phi^(k-1).
+    Comparing the coefficients of z^j gives each Taylor coefficient
+    C[j, k] of phi^k from three neighbours:
 
-    Each product is taken in bands of ``_BUILD_BAND`` rows: the band of rows
-    a..b-1 is its Toeplitz rows' first b columns times the first b rows of
-    columns 0..m-1, since the rest of those Toeplitz rows is zero.  That
-    skips about half the product's arithmetic, and every band is written
-    straight into the matrix, as is the Bergman reweighting.  The working
-    set is the N x N matrix plus a band or two of at most 128 x N entries
-    (2 MiB at N = 1024): about 17 MiB at N = 1024, and one 85 MB matrix at
-    N = 2304.  When N is a multiple of 128 the build is the leading N x N
-    block of any larger such build and, with OpenBLAS's SkylakeX kernels, its
-    bytes are those of one whole product per doubling.  Elsewhere an entry
-    can differ from the whole product's in the last bit (by at most 2e-16 at
-    N = 192).
+        C[j, k] = (a/d) C[j-1, k-1] + (b/d) C[j, k-1] - (c/d) C[j-1, k],
+
+    with C[0, 0] = 1, C[j, 0] = 0 for j >= 1 and zero outside the matrix.
+    The matrix is filled one anti-diagonal j + k = t at a time, t = 1..2N-2:
+    each comes from the two before it as three shifted slices and is written
+    into the matrix by one strided slice.  An entry takes the same operations
+    whatever N is, so every build is the leading block of every larger one,
+    byte for byte.
+
+    A rounding error e made at (j0, k0) travels into column k as e times the
+    coefficients of phi^(k-k0) / (c z + d), which are at most 1 / (|d| - |c|)
+    in modulus: 1 for elliptic symbols, 1 / (1 - |alpha|) for Blaschke
+    factors and |a| / (|a| - |b|) for automorphisms.  An entry's error is at
+    most the sum of the errors made above and to the left of it times that
+    bound; in practice it is far smaller: against a long double build at
+    N = 513 it is at most 1.5e-14 (Blaschke 0.99 on Bergman).
+
+    The cost is O(N^2) arithmetic and no BLAS.  The working set is the N x N
+    matrix and three diagonals of N + 1 entries; the Bergman reweighting and
+    the one flush of parts below ``_FLUSH_BELOW`` (entries move by about
+    1e-154 at most) go in row bands of an eighth of ``_CHUNK_BYTES``.  At
+    N = 1024 the build peaks at about 17 MiB.
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
     N = as_size(N, "truncation N")
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    base = _flush_tiny(sym.symbol_series(symbol, N))
+    a, b, c, d = sym.mobius_coefficients(symbol)
+    a, b, c = np.array([a, b, c]) / d  # numpy scalars: cheaper per ufunc call
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
-    bands = row_blocks(N, _BUILD_BAND)
-    k = 1
-    while k < N:
-        m = min(k, N - k)
-        power = _flush_tiny(np.convolve(cols[:, k - 1], base)[:N])
-        # toeplitz[i, j] = power[i - j] for i >= j, else 0
-        padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
-        toeplitz = sliding_window_view(padded[::-1], N)[::-1]
-        for rows in bands:
-            out = cols[rows, k:k + m]
-            np.matmul(toeplitz[rows, :rows.stop], cols[:rows.stop, :m], out=out)
-            _flush_tiny(out)
-        k += m
-    if space.kind == "bergman":
-        w = np.sqrt(np.arange(1, N + 1, dtype=float))
-        for rows in bands:
-            cols[rows] *= w[None, :] / w[rows, None]
+    flat = cols.reshape(-1)
+    # diag[j + 1] = C[j, t - j] on three anti-diagonals t; diag[0] stays 0
+    # for C[-1, .], and entries not yet written are the zero C[j, k < 0]
+    older, last, diag = (np.zeros(N + 1, dtype=complex) for _ in range(3))
+    last[1] = 1.0
+    term = np.empty(N, dtype=complex)
+    for t in range(1, 2 * N - 1):
+        lo, hi = max(0, t - N + 1), min(t - 1, N - 1)  # rows j with 1 <= k < N
+        new, part = diag[lo + 1:hi + 2], term[:hi + 1 - lo]
+        np.multiply(older[lo:hi + 1], a, out=new)
+        np.multiply(last[lo + 1:hi + 2], b, out=part)
+        new += part
+        np.multiply(last[lo:hi + 1], c, out=part)
+        new -= part
+        # C[j, t - j] sits at flat index j (N - 1) + t
+        flat[lo * (N - 1) + t:hi * (N - 1) + t + 1:N - 1] = new
+        older, last, diag = last, diag, older
+    w = np.sqrt(np.arange(1, N + 1, dtype=float))
+    for rows in row_blocks(N, max(1, _CHUNK_BYTES // (128 * N))):
+        band = cols[rows]
+        if space.kind == "bergman":
+            band *= w[None, :] / w[rows, None]
+        for part in (band.real, band.imag):
+            part[np.abs(part) < _FLUSH_BELOW] = 0.0
     return OperatorMatrix(cols, space)
-
-
-def _flush_tiny(a: np.ndarray) -> np.ndarray:
-    """Set the real and imaginary parts of ``a`` below ``_FLUSH_BELOW`` to zero, in place."""
-    for part in (a.real, a.imag):
-        part[np.abs(part) < _FLUSH_BELOW] = 0.0
-    return a
 
 
 def _check_basis(op: OperatorMatrix, space: SpaceSpec) -> None:

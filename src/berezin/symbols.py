@@ -24,6 +24,7 @@ __all__ = [
     "automorphism",
     "blaschke",
     "apply",
+    "mobius_coefficients",
     "taylor_coeffs",
     "symbol_series",
 ]
@@ -100,33 +101,34 @@ def apply(symbol: SymbolSpec, z):
     return out
 
 
+def mobius_coefficients(symbol: SymbolSpec) -> tuple[complex, complex, complex, complex]:
+    """(a, b, c, d) with phi(z) = (a z + b)/(c z + d): every supported symbol
+    is linear-fractional.  Elliptic alpha z is (alpha, 0, 0, 1), the
+    automorphism (a, b, conj(b), conj(a)) and the Blaschke factor at alpha
+    (1, -alpha, -conj(alpha), 1).
+    """
+    if symbol.kind == "elliptic":
+        return symbol.alpha, 0j, 0j, 1 + 0j
+    if symbol.kind == "automorphism":
+        a, b = symbol.a, symbol.b
+        return a, b, b.conjugate(), a.conjugate()
+    al = symbol.alpha
+    return 1 + 0j, -al, -al.conjugate(), 1 + 0j
+
+
 def symbol_series(symbol: SymbolSpec, truncation: int) -> np.ndarray:
     """First ``truncation`` Taylor coefficients of phi at the origin.
 
-    For the rational families the denominator is expanded as an exact
-    geometric series (no numerical differentiation), so the coefficients
-    carry no cancellation error.
+    With phi = (a z + b)/(c z + d) (``mobius_coefficients``), 1/(c z + d) is
+    expanded as the exact geometric series sum_m (-c/d)^m z^m / d (no
+    numerical differentiation), so the coefficients carry no cancellation
+    error.
     """
     N = as_size(truncation, "truncation")
     if N < 1:
         raise ValueError("truncation must be >= 1")
-    coeffs = np.zeros(N, dtype=complex)
-    if symbol.kind == "elliptic":
-        if N > 1:
-            coeffs[1] = symbol.alpha
-        return coeffs
-    if symbol.kind == "blaschke":
-        al = symbol.alpha
-        # (z - alpha) * sum_m conj(alpha)^m z^m
-        geom = np.conj(al) ** np.arange(N)
-        coeffs = -al * geom
-        coeffs[1:] += geom[:-1]
-        return coeffs
-    a, b = symbol.a, symbol.b
-    # (a z + b)/(conj(b) z + conj(a)) = (a z + b)/conj(a) * sum_m t^m z^m
-    # with t = -conj(b)/conj(a)
-    t = -np.conj(b) / np.conj(a)
-    geom = t ** np.arange(N) / np.conj(a)
+    a, b, c, d = np.array(mobius_coefficients(symbol))
+    geom = (-c / d) ** np.arange(N) / d
     coeffs = b * geom
     coeffs[1:] += a * geom[:-1]
     return coeffs

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from berezin import closed_form as cf
 from berezin import geometry, kernels, symbols
@@ -203,10 +202,10 @@ def test_composition_matrix_rejects_model():
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations.  composition_matrix fills its columns by block
-# doubling, normalized_kernel_matrix builds powers by a running product and
-# berezin_grid works through the points in chunks; each must agree with the
-# direct form below to rounding.
+# Reference implementations.  composition_matrix fills its matrix by a
+# three-term recurrence, normalized_kernel_matrix builds powers by a running
+# product and berezin_grid works through the points in chunks; each must agree
+# with the direct form below to rounding.
 
 def reference_composition_matrix(space, symbol, N):
     """One convolution per column: column k is phi^(k-1) * phi."""
@@ -217,26 +216,6 @@ def reference_composition_matrix(space, symbol, N):
     for k in range(1, N):
         col = np.convolve(col, base)[:N]
         cols[:, k] = col
-    if space.kind == "bergman":
-        w = np.sqrt(np.arange(1, N + 1, dtype=float))
-        cols = cols * (w[None, :] / w[:, None])
-    return cols
-
-
-def reference_doubling_matrix(space, symbol, N):
-    """Block doubling with one whole N x m product per doubling, unblocked."""
-    base = oracle._flush_tiny(symbols.symbol_series(symbol, N))
-    cols = np.zeros((N, N), dtype=complex)
-    cols[0, 0] = 1.0
-    k = 1
-    while k < N:
-        m = min(k, N - k)
-        power = oracle._flush_tiny(np.convolve(cols[:, k - 1], base)[:N])
-        padded = np.concatenate([np.zeros(N - 1, dtype=complex), power])
-        toeplitz = sliding_window_view(padded[::-1], N)[::-1]
-        cols[:, k:k + m] = toeplitz @ cols[:, :m]
-        oracle._flush_tiny(cols[:, k:k + m])
-        k += m
     if space.kind == "bergman":
         w = np.sqrt(np.arange(1, N + 1, dtype=float))
         cols = cols * (w[None, :] / w[:, None])
@@ -283,13 +262,38 @@ def test_composition_matrix_equals_sequential_convolution(symb, N):
         )
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 129, 513, 1024])
-@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
-def test_row_blocked_build_is_byte_identical_to_one_product_per_doubling(symb, N):
-    # At 513 the last block has 129 rows, one past a multiple of any GEMM row tile.
-    for space in (kernels.HARDY, kernels.BERGMAN):
-        got = oracle.composition_matrix(space, symb, N).entries
-        assert got.tobytes() == reference_doubling_matrix(space, symb, N).tobytes()
+def reference_extended_matrix(space, symbol, N):
+    """One convolution per column, as reference_composition_matrix, in long
+    double from the symbol's coefficients, rounded to complex at the end."""
+    a, b, c, d = (np.clongdouble(x) for x in symbols.mobius_coefficients(symbol))
+    # phi = (a z + b)/d * sum_m (-c/d)^m z^m
+    geom = np.ones(N, dtype=np.clongdouble)
+    for m in range(1, N):
+        geom[m] = geom[m - 1] * (-c / d)
+    base = b * geom / d
+    base[1:] += a * geom[:-1] / d
+    cols = np.zeros((N, N), dtype=np.clongdouble)
+    cols[0, 0] = 1
+    for k in range(1, N):
+        cols[:, k] = np.convolve(cols[:, k - 1], base)[:N]
+    if space.kind == "bergman":
+        w = np.sqrt(np.arange(1, N + 1, dtype=np.longdouble))
+        cols *= w[None, :] / w[:, None]
+    return cols.astype(complex)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN], ids=lambda s: s.label)
+@pytest.mark.parametrize(
+    "symb", [symbols.blaschke(0.9), symbols.blaschke(0.99), symbols.automorphism(2.6, 2.4)],
+    ids=lambda s: s.label,
+)
+def test_composition_matrix_is_accurate_against_extended_precision(space, symb):
+    # Errors grow with 1 / (|d| - |c|): 100 for Blaschke 0.99, 13 for (2.6, 2.4).
+    got = oracle.composition_matrix(space, symb, 513).entries
+    np.testing.assert_allclose(got, reference_extended_matrix(space, symb, 513),
+                               rtol=0, atol=5e-14)
 
 
 def test_composition_matrix_memory_is_one_matrix():
@@ -336,12 +340,12 @@ def test_leading_block_is_the_smaller_build(space, symb):
 
 
 @pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
-def test_every_band_multiple_build_is_a_leading_block(symb):
-    # Builds at N = 128 j share their bands with the N = 1024 build, and each
-    # band's sum over K stops at the band's last row, so no byte depends on N
+def test_every_build_is_a_leading_block_of_a_larger_one(symb):
+    # An entry takes the same operations at any N, so no byte depends on N
+    sizes = [*range(1, 41), 127, 128, 129, 255, 256, 257, 511, 512, 513, 1000]
     for space in (kernels.HARDY, kernels.BERGMAN):
         big = oracle.composition_matrix(space, symb, 1024).entries
-        for N in range(oracle._BUILD_BAND, 1024, oracle._BUILD_BAND):
+        for N in sizes:
             small = oracle.composition_matrix(space, symb, N).entries
             assert small.tobytes() == big[:N, :N].tobytes(), (space.label, N)
 
@@ -566,8 +570,8 @@ _turn = st.floats(0.0, 2 * np.pi, allow_nan=False)
 
 
 @st.composite
-def _symbol(draw):
-    kind = draw(st.sampled_from(["elliptic", "blaschke", "automorphism"]))
+def _symbol(draw, kinds=("elliptic", "blaschke", "automorphism")):
+    kind = draw(st.sampled_from(kinds))
     turn = np.exp(1j * draw(_turn))
     if kind == "elliptic":
         return symbols.elliptic(draw(_unit) * turn)
@@ -594,6 +598,15 @@ def test_oracle_agrees_with_closed_form_inside_tail_bound(symb, N, points):
         np.testing.assert_allclose(
             oracle.berezin_grid(op, space, inside), closed(symb, inside), rtol=0, atol=1e-8
         )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(symb=_symbol(kinds=("blaschke", "automorphism")), N=st.integers(1, 64))
+def test_recurrence_equals_sequential_convolution(symb, N):
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        np.testing.assert_allclose(oracle.composition_matrix(space, symb, N).entries,
+                                   reference_composition_matrix(space, symb, N),
+                                   rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("N", [1, 40, 256, 1024])

@@ -62,6 +62,27 @@ def test_series_evaluates_to_symbol():
         np.testing.assert_allclose(series_val, symbols.apply(symb, z), atol=1e-12)
 
 
+@pytest.mark.parametrize("symb", [
+    symbols.elliptic(0.0),
+    symbols.elliptic(1.0),
+    symbols.elliptic(np.exp(2j)),
+    symbols.elliptic(0.25 + 0.25j),
+    symbols.blaschke(0.0),
+    symbols.blaschke(0.3 - 0.4j),
+    symbols.blaschke(0.99j),
+    symbols.automorphism(1.0, 0.0),
+    symbols.automorphism(1j, 0.0),
+    symbols.automorphism(1.25, 0.75),
+    symbols.automorphism(2.6j, -2.4),
+], ids=lambda s: s.label)
+def test_mobius_coefficients_evaluate_to_symbol(symb):
+    rng = np.random.default_rng(41)
+    z = np.sqrt(rng.uniform(size=200)) * np.exp(2j * np.pi * rng.uniform(size=200))
+    a, b, c, d = symbols.mobius_coefficients(symb)
+    np.testing.assert_allclose((a * z + b) / (c * z + d), symbols.apply(symb, z),
+                               rtol=1e-15, atol=0)
+
+
 def test_power_series_evaluates_to_power():
     rng = np.random.default_rng(29)
     symb = symbols.blaschke(0.4j)
