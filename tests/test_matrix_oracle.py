@@ -296,6 +296,40 @@ def test_composition_matrix_is_accurate_against_extended_precision(space, symb):
                                rtol=0, atol=5e-14)
 
 
+def reference_recurrence_matrix(space, symbol, N):
+    """The three-term recurrence of composition_matrix on the whole padded
+    matrix: each anti-diagonal gathered and scattered by fancy indexing, then
+    one reweighting and one flush over all rows at once."""
+    a, b, c, d = symbols.mobius_coefficients(symbol)
+    a, b, c = np.array([a, b, c]) / d
+    pad = np.zeros((N + 1, N + 1), dtype=complex)  # pad[j + 1, k + 1] = C[j, k]
+    pad[1, 1] = 1.0
+    for t in range(1, 2 * N - 1):
+        j = np.arange(max(0, t - N + 1), min(t - 1, N - 1) + 1)
+        k = t - j
+        new = pad[j, k] * a
+        new += pad[j + 1, k] * b
+        new -= pad[j, k + 1] * c
+        pad[j + 1, k + 1] = new
+    cols = pad[1:, 1:].copy()
+    if space.kind == "bergman":
+        w = np.sqrt(np.arange(1, N + 1, dtype=float))
+        cols *= w[None, :] / w[:, None]
+    for part in (cols.real, cols.imag):
+        part[np.abs(part) < oracle._FLUSH_BELOW] = 0.0
+    return cols
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 129, 513, 1024])
+@pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
+def test_build_is_byte_identical_to_a_whole_matrix_recurrence(symb, N):
+    # The build's rolling diagonals, strided writes and row-banded reweighting
+    # and flush must not change a bit; 513 and 1024 span several row bands.
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        got = oracle.composition_matrix(space, symb, N).entries
+        assert got.tobytes() == reference_recurrence_matrix(space, symb, N).tobytes()
+
+
 def test_composition_matrix_memory_is_one_matrix():
     # The N = 1024 matrix takes 16 MiB; the whole strided Toeplitz copy, the
     # N x m product and the Bergman reweighting's second matrix took 40 MiB.
