@@ -773,17 +773,13 @@ def run_trials(
             raise ValueError(f"unknown check {c!r}; choose from {TRIAL_CHECKS}")
     if map_kind not in _MAP_KINDS:
         raise ValueError(f"unknown map kind: {map_kind!r}")
-    dims = tuple(as_size(d, "dimension") for d in dims)
-    if not dims or min(dims) < 1:
-        raise ValueError(f"dims must be one or more dimensions >= 1, got {dims}")
+    dims = tuple(as_size(d, "dimension", 1) for d in dims)
+    if not dims:
+        raise ValueError("dims must be one or more dimensions, got ()")
     for c in checks:
         _require(f, c)
-    trials = as_size(trials, "trials")
-    if trials < 0:
-        raise ValueError("trials must be >= 0")
-    seed = as_size(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    trials = as_size(trials, "trials", 0)
+    seed = as_size(seed, "seed", 0)
     root = np.random.SeedSequence(seed)
 
     # Per check, the least recorded slack as (slack, trial), and the earliest

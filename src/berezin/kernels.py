@@ -36,8 +36,7 @@ class SpaceSpec:
         if self.kind not in ("hardy", "bergman", "model"):
             raise ValueError(f"unknown space kind: {self.kind!r}")
         if self.kind == "model":
-            if self.n is None or self.n < 1:
-                raise ValueError("model space requires an integer dimension n >= 1")
+            object.__setattr__(self, "n", as_size(self.n, "model dimension n", 1))
         elif self.n is not None:
             raise ValueError(f"space {self.kind!r} takes no dimension parameter")
 
@@ -54,19 +53,23 @@ BERGMAN = SpaceSpec("bergman")
 
 def model_space(n: int) -> SpaceSpec:
     """The n-dimensional model space K_{z^n} (orthocomplement of z^n H^2)."""
-    return SpaceSpec("model", as_size(n, "model dimension n"))
+    return SpaceSpec("model", n)
 
 
-def as_size(value, name: str) -> int:
-    """``value`` as a Python int, read with ``operator.index``.
+def as_size(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int of at least ``minimum``, read with ``operator.index``.
 
     Python and numpy integers pass; a float such as 2.5 or inf raises
-    ``ValueError`` naming ``name`` instead of being truncated.
+    ``ValueError`` naming ``name`` instead of being truncated, as does an
+    integer below ``minimum``.
     """
     try:
-        return operator.index(value)
+        size = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if size < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {size}")
+    return size
 
 
 def row_blocks(n: int, rows: int) -> list[slice]:
@@ -100,9 +103,7 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
     Each column has unit Euclidean norm up to the geometric truncation tail
     |w|^(2N).
     """
-    N = as_size(truncation, "truncation")
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    N = as_size(truncation, "truncation", 1)
     if space.kind == "model" and N != space.n:
         raise ValueError(
             f"model({space.n}) coefficients require truncation == n, got {N}"

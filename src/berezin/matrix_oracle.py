@@ -77,7 +77,8 @@ def _square_matrix(entries) -> np.ndarray:
         raise ValueError(f"operator matrix must be square, got shape {m.shape}")
     if not m.size:
         raise ValueError("operator matrix must not be empty")
-    if not np.all(np.isfinite(m)):
+    # min and max carry NaN and inf through; m[..., None] has a float view in any layout
+    if not all(np.isfinite(f(m[..., None].view(float))) for f in (np.min, np.max)):
         raise ValueError("operator matrix entries must be finite")
     return m
 
@@ -121,9 +122,7 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
-    N = as_size(N, "truncation N")
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    N = as_size(N, "truncation N", 1)
     a, b, c, d = sym.mobius_coefficients(symbol)
     a, b, c = np.array([a, b, c]) / d  # numpy scalars: cheaper per ufunc call
     cols = np.zeros((N, N), dtype=complex)
@@ -355,23 +354,17 @@ def l2_berezin_set(operator) -> np.ndarray:
 
     The l2 kernels are the standard basis vectors, so the Berezin transform
     at index j is exactly the (j, j) entry whatever the off-diagonal part
-    looks like.  Order of first appearance is preserved.
+    looks like.  Order of first appearance is preserved.  A matrix that is
+    empty, not square or not finite raises ``ValueError``.
     """
-    arr = np.asarray(operator, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError("operator matrix must be square")
-    diag = np.diag(arr)
-    if diag.size == 0:
-        raise ValueError("empty diagonal")
+    diag = np.diag(_square_matrix(operator))
     _, first = np.unique(diag, return_index=True)
     return diag[np.sort(first)]
 
 
 def model_operator_matrix(n: int) -> OperatorMatrix:
     """The compressed shift on K_{z^n}: ones on the first subdiagonal."""
-    n = as_size(n, "model dimension n")
-    if n < 1:
-        raise ValueError("model dimension must be >= 1")
+    n = as_size(n, "model dimension n", 1)
     return OperatorMatrix(np.eye(n, k=-1, dtype=complex), model_space(n))
 
 
@@ -399,9 +392,7 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
     matrix; any other input raises ``ValueError``.
     """
     A = op.entries if isinstance(op, OperatorMatrix) else _square_matrix(op)
-    M = as_size(directions, "directions")
-    if M < 3:
-        raise ValueError("need at least 3 directions")
+    M = as_size(directions, "directions", 3)
     half = M // 2 if M % 2 == 0 else M
     points = np.empty(M, dtype=complex)
     for m in range(half):

@@ -7,6 +7,10 @@ Three families are supported, each validated at construction time:
   |a|^2 - |b|^2 = 1,
 * Blaschke factors  phi_alpha(z) = (z - alpha)/(1 - conj(alpha) z)  with
   |alpha| < 1.
+
+Every family is linear-fractional: ``mobius_coefficients`` alone maps a family
+to its formula, and column k of ``matrix_oracle.composition_matrix`` holds the
+Taylor coefficients of phi^k.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ __all__ = [
     "blaschke",
     "apply",
     "mobius_coefficients",
-    "taylor_coeffs",
     "symbol_series",
 ]
 
@@ -86,19 +89,12 @@ def blaschke(alpha) -> SymbolSpec:
 
 
 def apply(symbol: SymbolSpec, z):
-    """Evaluate phi(z).  Accepts complex scalars or arrays (vectorized)."""
-    z = np.asarray(getattr(z, "z", z), dtype=complex)
-    if symbol.kind == "elliptic":
-        out = symbol.alpha * z
-    elif symbol.kind == "automorphism":
-        a, b = symbol.a, symbol.b
-        out = (a * z + b) / (np.conj(b) * z + np.conj(a))
-    else:
-        al = symbol.alpha
-        out = (z - al) / (1.0 - np.conj(al) * z)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    """Evaluate phi(z) = (a z + b)/(c z + d) with the ``mobius_coefficients``
+    of ``symbol``.  Accepts complex scalars or arrays (vectorized)."""
+    a, b, c, d = mobius_coefficients(symbol)
+    z = np.asarray(z, dtype=complex)
+    out = (a * z + b) / (c * z + d)
+    return complex(out) if out.ndim == 0 else out
 
 
 def mobius_coefficients(symbol: SymbolSpec) -> tuple[complex, complex, complex, complex]:
@@ -124,33 +120,10 @@ def symbol_series(symbol: SymbolSpec, truncation: int) -> np.ndarray:
     numerical differentiation), so the coefficients carry no cancellation
     error.
     """
-    N = as_size(truncation, "truncation")
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
+    N = as_size(truncation, "truncation", 1)
     a, b, c, d = np.array(mobius_coefficients(symbol))
     geom = (-c / d) ** np.arange(N) / d
     coeffs = b * geom
     coeffs[1:] += a * geom[:-1]
     return coeffs
 
-
-def taylor_coeffs(symbol: SymbolSpec, power: int, truncation: int) -> np.ndarray:
-    """First ``truncation`` Taylor coefficients of phi(z)**power.
-
-    Computed by repeated truncated power-series multiplication starting from
-    ``symbol_series``; power 0 returns (1, 0, ..., 0).
-    """
-    k = as_size(power, "power")
-    if k < 0:
-        raise ValueError("power must be >= 0")
-    N = as_size(truncation, "truncation")
-    if N < 1:
-        raise ValueError("truncation must be >= 1")
-    out = np.zeros(N, dtype=complex)
-    out[0] = 1.0
-    if k == 0:
-        return out
-    base = symbol_series(symbol, N)
-    for _ in range(k):
-        out = np.convolve(out, base)[:N]
-    return out

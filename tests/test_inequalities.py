@@ -570,13 +570,17 @@ def test_run_trials_rejects_unknown_map():
 
 
 def test_run_trials_rejects_a_negative_trial_count():
-    with pytest.raises(ValueError, match="trials must be >= 0"):
+    with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
         ineq.run_trials(ineq.ScalarFunction.power(2), "identity", ("eq16",), trials=-1)
 
 
-@pytest.mark.parametrize("dims", [(), (0,), (3, -1)])
-def test_run_trials_rejects_empty_or_non_positive_dims(dims):
-    with pytest.raises(ValueError, match="dims must be"):
+@pytest.mark.parametrize("dims, message", [
+    ((), r"dims must be one or more dimensions, got \(\)"),
+    ((0,), "dimension must be >= 1, got 0"),
+    ((3, -1), "dimension must be >= 1, got -1"),
+], ids=["dims0", "dims1", "dims2"])
+def test_run_trials_rejects_empty_or_non_positive_dims(dims, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         ineq.run_trials(ineq.ScalarFunction.power(2), dims=dims, trials=5)
 
 

@@ -94,6 +94,9 @@ def test_model_space_validation():
 def test_model_space_dimension_must_be_an_integer():
     with pytest.raises(ValueError, match="^model dimension n must be an integer, got 2.5$"):
         kernels.model_space(2.5)
+    for bad in (2.5, float("nan"), None):
+        with pytest.raises(ValueError, match=f"^model dimension n must be an integer, got {bad}$"):
+            kernels.SpaceSpec("model", bad)
     assert kernels.model_space(np.int64(3)) == kernels.model_space(np.int32(3))
     assert type(kernels.model_space(np.int64(3)).n) is int
 

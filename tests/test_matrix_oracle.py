@@ -163,12 +163,29 @@ def test_numerical_range_points_attain_the_support_function(A, M):
     (np.ones(4), "must be square"),
     (np.zeros((0, 0)), "must not be empty"),
     (np.array([[1.0, np.nan], [0.0, 1.0]]), "must be finite"),
-], ids=["2x3", "1-D", "0x0", "NaN"])
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), "must be finite"),
+    (np.array([[1.0, 0.0], [complex(0.0, -np.inf), 1.0]]).T, "must be finite"),
+], ids=["2x3", "1-D", "0x0", "NaN", "NaN-diagonal", "inf-imag-transposed"])
 def test_numerical_range_rejects_a_bad_matrix_by_name(bad, reason):
     with pytest.raises(ValueError, match=reason):
         oracle.numerical_range_boundary(bad, 180)
     with pytest.raises(ValueError, match=reason):
         oracle.OperatorMatrix(bad, kernels.HARDY)
+    with pytest.raises(ValueError, match=reason):
+        oracle.l2_berezin_set(bad)
+
+
+def test_wrapping_a_matrix_builds_no_mask():
+    # An N x N boolean finiteness mask alone took 1 MiB at N = 1024
+    entries = np.zeros((1024, 1024), dtype=complex)
+    tracemalloc.start()
+    try:
+        for view in (entries, entries.T, entries[::2, ::2]):
+            assert oracle.OperatorMatrix(view, kernels.HARDY).entries is view
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * 2**20
 
 
 def test_berezin_samples_inside_numerical_range():
@@ -343,19 +360,24 @@ def test_composition_matrix_memory_is_one_matrix():
 
 
 # Each call returns the size it built, so a numpy integer can be checked too.
-@pytest.mark.parametrize("built, name", [
+@pytest.mark.parametrize("built, name, minimum", [
     (lambda n: oracle.composition_matrix(kernels.HARDY, symbols.blaschke(0.5), n).truncation,
-     "truncation N"),
-    (lambda n: kernels.normalized_kernel_matrix(kernels.HARDY, [0.5], n).shape[0], "truncation"),
-    (lambda n: len(oracle.numerical_range_boundary(np.eye(2), n)), "directions"),
-    (lambda n: oracle.model_operator_matrix(n).truncation, "model dimension n"),
+     "truncation N", 1),
+    (lambda n: kernels.normalized_kernel_matrix(kernels.HARDY, [0.5], n).shape[0],
+     "truncation", 1),
+    (lambda n: len(oracle.numerical_range_boundary(np.eye(2), n)), "directions", 3),
+    (lambda n: oracle.model_operator_matrix(n).truncation, "model dimension n", 1),
 ], ids=["composition_matrix", "normalized_kernel_matrix", "numerical_range_boundary",
         "model_operator_matrix"])
-def test_sizes_must_be_integers(built, name):
+def test_sizes_must_be_integers(built, name, minimum):
     for bad in (2.5, 3.9, 4.0, float("inf"), float("nan"), "4", None):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             built(bad)
+    for low in (minimum - 1, np.int64(-2)):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {minimum}, got {low}$"):
+            built(low)
     assert built(np.int64(4)) == built(np.int32(4)) == built(4) == 4
+    assert built(minimum) == minimum
 
 
 @pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN], ids=lambda s: s.label)

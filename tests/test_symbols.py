@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from berezin import symbols
+from berezin import kernels, symbols
+from berezin.matrix_oracle import composition_matrix
+
+
+def _power_coeffs(symb, power, truncation):
+    """Taylor coefficients of phi^power: column ``power`` of the Hardy
+    composition matrix."""
+    return composition_matrix(kernels.HARDY, symb, truncation).entries[:, power]
 
 
 def test_elliptic_apply():
@@ -36,14 +43,14 @@ def test_blaschke_apply_and_fixed_zero():
 
 
 def test_blaschke_taylor_worked_example():
-    coeffs = symbols.taylor_coeffs(symbols.blaschke(0.5), 1, 3)
+    coeffs = _power_coeffs(symbols.blaschke(0.5), 1, 3)
     np.testing.assert_allclose(coeffs, [-0.5, 0.75, 0.375], atol=1e-15)
 
 
 def test_square_of_identity_symbol():
     # phi(z) = z composed with itself: coefficients (0, 0, 1)
     symb = symbols.blaschke(0.0)
-    coeffs = symbols.taylor_coeffs(symb, 2, 3)
+    coeffs = _power_coeffs(symb, 2, 3)
     np.testing.assert_allclose(coeffs, [0.0, 0.0, 1.0], atol=1e-15)
 
 
@@ -88,7 +95,7 @@ def test_power_series_evaluates_to_power():
     symb = symbols.blaschke(0.4j)
     z = rng.uniform(0, 0.4, 30) * np.exp(2j * np.pi * rng.uniform(size=30))
     for power in (2, 3, 5):
-        coeffs = symbols.taylor_coeffs(symb, power, 160)
+        coeffs = _power_coeffs(symb, power, 160)
         series_val = np.polyval(coeffs[::-1], z)
         np.testing.assert_allclose(
             series_val, symbols.apply(symb, z) ** power, atol=1e-12
@@ -96,22 +103,15 @@ def test_power_series_evaluates_to_power():
 
 
 def test_taylor_power_zero_is_constant_one():
-    coeffs = symbols.taylor_coeffs(symbols.blaschke(0.5), 0, 4)
+    coeffs = _power_coeffs(symbols.blaschke(0.5), 0, 4)
     np.testing.assert_allclose(coeffs, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_elliptic_taylor_single_term():
-    coeffs = symbols.taylor_coeffs(symbols.elliptic(0.25 + 0.25j), 2, 5)
+    coeffs = _power_coeffs(symbols.elliptic(0.25 + 0.25j), 2, 5)
     expected = np.zeros(5, dtype=complex)
     expected[2] = (0.25 + 0.25j) ** 2
     np.testing.assert_allclose(coeffs, expected, atol=1e-15)
-
-
-def test_apply_accepts_disk_points():
-    from berezin.closed_form import DiskPoint
-
-    p = DiskPoint(0.5, 0.0)
-    np.testing.assert_allclose(symbols.apply(symbols.elliptic(0.5), p), 0.25)
 
 
 def test_labels_mention_parameters():
@@ -123,17 +123,13 @@ def test_series_sizes_must_be_integers():
     phi = symbols.blaschke(0.5)
     with pytest.raises(ValueError, match="^truncation must be an integer, got 2.5$"):
         symbols.symbol_series(phi, 2.5)
-    with pytest.raises(ValueError, match="^power must be an integer, got 2.5$"):
-        symbols.taylor_coeffs(phi, 2.5, 3)
-    with pytest.raises(ValueError, match="^truncation must be an integer, got 2.5$"):
-        symbols.taylor_coeffs(phi, 2, 2.5)
     np.testing.assert_array_equal(symbols.symbol_series(phi, np.int64(3)),
                                   symbols.symbol_series(phi, 3))
-    np.testing.assert_array_equal(symbols.taylor_coeffs(phi, np.int32(2), np.int64(3)),
-                                  symbols.taylor_coeffs(phi, 2, 3))
 
 
 @pytest.mark.parametrize("power, truncation", [(2, 0), (0, 0), (2, -1)])
-def test_taylor_coeffs_rejects_truncation_below_one(power, truncation):
-    with pytest.raises(ValueError, match="^truncation must be >= 1$"):
-        symbols.taylor_coeffs(symbols.blaschke(0.5), power, truncation)
+def test_series_and_power_coeffs_reject_truncation_below_one(power, truncation):
+    with pytest.raises(ValueError, match=f"^truncation must be >= 1, got {truncation}$"):
+        symbols.symbol_series(symbols.blaschke(0.5), truncation)
+    with pytest.raises(ValueError, match=f"^truncation N must be >= 1, got {truncation}$"):
+        _power_coeffs(symbols.blaschke(0.5), power, truncation)
