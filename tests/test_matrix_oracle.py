@@ -367,8 +367,9 @@ def test_composition_matrix_memory_is_one_matrix():
      "truncation", 1),
     (lambda n: len(oracle.numerical_range_boundary(np.eye(2), n)), "directions", 3),
     (lambda n: oracle.model_operator_matrix(n).truncation, "model dimension n", 1),
+    (lambda n: len(symbols.symbol_series(symbols.blaschke(0.5), n)), "truncation", 1),
 ], ids=["composition_matrix", "normalized_kernel_matrix", "numerical_range_boundary",
-        "model_operator_matrix"])
+        "model_operator_matrix", "symbol_series"])
 def test_sizes_must_be_integers(built, name, minimum):
     for bad in (2.5, 3.9, 4.0, float("inf"), float("nan"), "4", None):
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
