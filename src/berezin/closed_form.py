@@ -17,10 +17,9 @@ import math
 import numpy as np
 
 from . import symbols as sym
-from .kernels import SpaceSpec, as_size, row_blocks
+from .kernels import SpaceSpec, as_size, disk_points, row_blocks
 
 __all__ = [
-    "DiskPoint",
     "PolarGrid",
     "RangeSample",
     "hardy_transform",
@@ -39,23 +38,6 @@ _MESH_BYTES_MAX = 2**48  # a larger complex mesh exceeds a 48-bit address space
 # this many bytes per complex array (2048 points), so the transform's
 # temporaries (about six such arrays at once) stay small next to the values.
 _SAMPLE_BLOCK_BYTES = 2**15
-
-
-@dataclasses.dataclass(frozen=True)
-class DiskPoint:
-    """A point of the open unit disk in polar form, r in [0,1)."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.r < 1.0) or not math.isfinite(self.theta):
-            raise ValueError(f"disk point requires 0 <= r < 1, got r={self.r}")
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
-
-    @property
-    def z(self) -> complex:
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -191,28 +173,36 @@ def blaschke_real_imag(alpha, z):
     return k**2 * (x**2 - y**2), 2.0 * k**2 * x * y
 
 
-def conjugation_partner(alpha, z: DiskPoint) -> DiskPoint:
+def conjugation_partner(alpha, z):
     """The point where the Blaschke Bergman transform takes the conjugate value.
 
-    For alpha = rho * exp(i psi) != 0 and z = r * exp(i theta) the partner is
-    r * exp(i (2 psi - theta)) (angles mod 2*pi); for alpha = 0 the symmetry
-    statement is vacuous and z itself is returned.
+    For alpha != 0 the partner of z is (alpha / conj(alpha)) conj(z), the
+    reflection of z across the line through 0 and alpha; for alpha = 0 the
+    symmetry statement is vacuous and z itself is returned.  z is a point of
+    the open disk or an array of them, checked by ``kernels.disk_points``; a
+    non-finite alpha raises ``ValueError``.
     """
+    points = disk_points(z)
     alpha = complex(alpha)
+    if not np.isfinite(alpha):
+        raise ValueError(f"conjugation partner requires a finite alpha, got {alpha}")
     if alpha == 0:
         return z
-    psi = math.atan2(alpha.imag, alpha.real)
-    return DiskPoint(z.r, (2.0 * psi - z.theta) % TWO_PI)
+    return _as_complex((alpha / alpha.conjugate() * np.conj(points)).reshape(np.shape(z)))
 
 
 def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> float:
     """Numerically extrapolated limit of |transform(r e^{i theta})| as r -> 1.
 
     Samples r in {1 - 10^-k : k = 2..6} and applies Aitken extrapolation to
-    the tail (exact for geometric convergence).
+    the tail (exact for geometric convergence).  A non-finite theta raises
+    ``ValueError``.
     """
+    theta = float(theta)
+    if not math.isfinite(theta):
+        raise ValueError(f"boundary angle theta must be finite, got {theta}")
     radii = 1.0 - 10.0 ** (-np.arange(2.0, 7.0))
-    zs = radii * np.exp(1j * float(theta))
+    zs = radii * np.exp(1j * theta)
     samples = np.abs(transform(space, symbol, zs))
     v1, v2, v3 = samples[-3:]
     denom = v3 - 2.0 * v2 + v1

@@ -214,13 +214,10 @@ def convex_hull(points) -> np.ndarray:
             chain.append(i)
         return chain
 
-    idx = range(len(pts))
-    lower = half_chain(idx)
+    # Each half-chain of two or more points keeps at least two of them.
+    lower = half_chain(range(len(pts)))
     upper = half_chain(reversed(range(len(pts))))
-    hull_idx = lower[:-1] + upper[:-1]
-    if len(hull_idx) < 2:  # fully collinear sets collapse the chains
-        hull_idx = [lower[0], lower[-1]] if len(lower) > 1 else lower
-    return pts[hull_idx]
+    return pts[lower[:-1] + upper[:-1]]
 
 
 def default_tolerance(points) -> float:

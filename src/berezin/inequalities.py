@@ -8,8 +8,8 @@ unital map is checkable by direct computation.  The module provides
 * functional calculus and positive maps (identity / pinching / compression),
 * slack computations for the pointwise superquadratic bound, the scalar and
   operator Popoviciu inequalities, the single-operator refinement and its
-  intermediate bound, the Berezin set mapping identity, and the
-  Berezin-number propositions,
+  intermediate bound, the Berezin set mapping identity, and the derivative
+  form of the Berezin-number proposition,
 * a seeded randomized harness with per-trial RNG streams.
 
 Slacks are reported as (left side) - (right side) of the claimed "LHS >= RHS"
@@ -29,7 +29,6 @@ __all__ = [
     "ScalarFunction",
     "PositiveMap",
     "MappingReport",
-    "PropositionReport",
     "TrialReport",
     "SLACK_TOL",
     "superquadratic_pointwise_check",
@@ -41,7 +40,7 @@ __all__ = [
     "intermediate_refinement_check",
     "corollary_c1_check",
     "berezin_mapping_check",
-    "proposition_checks",
+    "derivative_proposition_check",
     "random_psd",
     "random_isometry",
     "run_trials",
@@ -322,9 +321,6 @@ class PositiveMap:
         """A |-> V* A V for an isometry V (columns orthonormal), or a stack."""
         return cls("compression", V=V)
 
-    def output_dim(self, d: int) -> int:
-        return self.V.shape[-1] if self.kind == "compression" else d
-
     def apply(self, A) -> np.ndarray:
         A = np.asarray(A, dtype=complex)
         d = A.shape[-1]
@@ -455,7 +451,7 @@ def _c1_slack(f, phi, A, mu, fA):
 
 
 # ---------------------------------------------------------------------------
-# mapping identity and propositions
+# mapping identity and the derivative proposition
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
@@ -511,66 +507,23 @@ def _mapping_report(f, phi, A, fA) -> MappingReport:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class PropositionReport:
-    """Slacks for the Berezin-number propositions (None where the catalog
-    function does not satisfy the hypotheses, with the reason recorded).
-    For a (k, d, d) stack each slack is an array of k slacks."""
-
-    p1_slack: float | np.ndarray | None
-    p2_slack: float | np.ndarray | None
-    p3_slack: float | np.ndarray | None
-    rejected: dict
-
-    def min_slack(self):
-        slacks = [s for s in (self.p1_slack, self.p2_slack, self.p3_slack) if s is not None]
-        if not slacks:
-            raise ValueError(f"no proposition applies: {self.rejected}")
-        return _unstacked(np.min(slacks, axis=0))
-
-
-def _proposition_inputs(phi: PositiveMap, A):
-    """A checked Hermitian, and the real diagonal of Phi(A)."""
-    A = _as_hermitian(A)
-    return A, np.real(_diagonal(phi.apply(A)))
-
-
-def _ber_sup_slack(g, phi: PositiveMap, A, diag):
-    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)), with diag from _proposition_inputs."""
+def _ber_sup_slack(g, phi: PositiveMap, A):
+    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)) for A already Hermitian."""
+    diag = np.real(_diagonal(phi.apply(A)))
     ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
     return _unstacked(ber - np.max(g(diag), axis=-1))
 
 
-def proposition_checks(f: ScalarFunction, phi: PositiveMap, A) -> PropositionReport:
-    """Slacks of the ber-vs-sup propositions for one operator or a stack.
+def derivative_proposition_check(f: ScalarFunction, phi: PositiveMap, A):
+    """Slack of the derivative form of the Berezin-number proposition
 
-    P1: ber(Phi(f(A))) >= sup_mu f((Phi(A))~(mu)) for nonnegative
-    superquadratic f; P2 (the derivative form): same with f replaced by f'
-    when f(0) = f'(0) = 0 and f' is convex; P3: same for convex f with
-    f(0) = 0 (convex branch).
+        ber(Phi(f'(A))) >= sup_mu f'((Phi(A))~(mu))
+
+    for nonnegative superquadratic f with f(0) = f'(0) = 0 and f' convex,
+    for one operator or a (k, d, d) stack.
     """
-    A, diag = _proposition_inputs(phi, A)
-
-    def slack(g):
-        return _ber_sup_slack(g, phi, A, diag)
-
-    p1_applies = f.superquadratic and f.nonnegative
-    p3_applies = f.convex and abs(f(0.0)) <= 1e-15
-    # P1 and P3 bound the same slack under different hypotheses.
-    shared = slack(f) if p1_applies or p3_applies else None
-    p1 = shared if p1_applies else None
-    p2 = slack(f.derivative) if "eq21" in checks_for(f) else None
-    p3 = shared if p3_applies else None
-
-    rejected: dict = {}
-    if p1 is None:
-        rejected["p1"] = f"{f.name} is not nonnegative superquadratic"
-    if p2 is None:
-        rejected["p2"] = f"{f.name} lacks a convex derivative with f(0)=f'(0)=0"
-    if p3 is None:
-        rejected["p3"] = f"{f.name} is not convex with f(0)=0"
-
-    return PropositionReport(p1, p2, p3, rejected)
+    _require(f, "eq21")
+    return _ber_sup_slack(f.derivative, phi, _as_hermitian(A))
 
 
 # ---------------------------------------------------------------------------
@@ -825,9 +778,7 @@ def run_trials(
         if "eq16" in checks:
             record("eq16", ix, _c1_slack(f, phi, A, mu, fA))
         if "eq21" in checks:
-            # P2 of proposition_checks alone: P1 and P3 are not recorded here
-            _, diag = _proposition_inputs(phi, A)
-            record("eq21", ix, _ber_sup_slack(f.derivative, phi, A, diag))
+            record("eq21", ix, _ber_sup_slack(f.derivative, phi, A))
         if "mapping" not in checks:
             return 0
         mp = _mapping_report(f, phi, A, fA)

@@ -144,7 +144,7 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
         # C[j, t - j] sits at flat index j (N - 1) + t
         flat[lo * (N - 1) + t:hi * (N - 1) + t + 1:N - 1] = new
         older, last, diag = last, diag, older
-    w = np.sqrt(np.arange(1, N + 1, dtype=float))
+    w, _ = kernel_scales(space, 0.0, N)
     for rows in row_blocks(N, max(1, _CHUNK_BYTES // (128 * N))):
         band = cols[rows]
         if space.kind == "bergman":

@@ -7,15 +7,6 @@ from berezin import closed_form as cf
 from berezin import kernels, symbols
 
 
-def test_disk_point_validation_and_normalization():
-    p = cf.DiskPoint(0.5, 2 * np.pi + 1.0)
-    np.testing.assert_allclose(p.theta, 1.0)
-    with pytest.raises(ValueError):
-        cf.DiskPoint(1.0, 0.0)
-    q = cf.DiskPoint(0.3, np.pi / 2)
-    np.testing.assert_allclose(q.z, 0.3j, atol=1e-17)
-
-
 def test_polar_grid_regular_properties():
     grid = cf.PolarGrid.regular(100, 64, 0.9)
     assert grid.r_values[0] == 0.0
@@ -100,26 +91,54 @@ def test_real_axis_value_worked_example():
 
 def test_conjugation_partner_reflects_angle():
     alpha = 0.5j  # arg = pi/2, so theta maps to pi - theta
-    p = cf.DiskPoint(0.7, 0.3)
-    q = cf.conjugation_partner(alpha, p)
-    np.testing.assert_allclose([q.r, q.theta], [0.7, np.pi - 0.3])
+    q = cf.conjugation_partner(alpha, _polar(0.7, 0.3))
+    assert type(q) is complex
+    np.testing.assert_allclose(q, _polar(0.7, np.pi - 0.3), rtol=0, atol=1e-15)
 
 
 def test_conjugation_partner_zero_alpha_is_identity():
-    p = cf.DiskPoint(0.4, 1.1)
-    assert cf.conjugation_partner(0.0, p) is p
+    z = _polar(0.4, 1.1)
+    assert cf.conjugation_partner(0.0, z) is z
+
+
+def test_conjugation_partner_of_an_array_is_elementwise():
+    alpha = 0.3 - 0.4j
+    z = np.array([[0.0, 0.5j, -0.2 + 0.7j], [0.9, _polar(0.6, 4.0), -0.1 - 0.1j]])
+    q = cf.conjugation_partner(alpha, z)
+    assert q.shape == z.shape
+    assert np.array_equal(q, [[cf.conjugation_partner(alpha, w) for w in row] for row in z])
+
+
+@pytest.mark.parametrize("z, problem", [
+    (1.0, r"\|w\| < 1"),
+    (0.6 + 0.8j, r"\|w\| < 1"),
+    (np.nan, "finite points"),
+    (complex(0.1, np.inf), "finite points"),
+])
+def test_conjugation_partner_rejects_points_off_the_open_disk(z, problem):
+    for alpha in (0.5j, 0.0):
+        with pytest.raises(ValueError, match=problem):
+            cf.conjugation_partner(alpha, z)
+    with pytest.raises(ValueError, match=problem):
+        cf.conjugation_partner(0.5, [0.1, z])
+
+
+@pytest.mark.parametrize("alpha", [np.nan, complex(0.5, np.inf), -np.inf])
+def test_conjugation_partner_rejects_a_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="^conjugation partner requires a finite alpha, got"):
+        cf.conjugation_partner(alpha, 0.5j)
 
 
 @_settings
 @given(rho=st.floats(0.1, 0.9), psi=_angles, r=st.floats(0.0, 0.95), theta=_angles)
 def test_conjugation_partner_value_symmetry(rho, psi, r, theta):
-    alpha = _polar(rho, psi)
-    p = cf.DiskPoint(r, theta)
-    q = cf.conjugation_partner(alpha, p)
+    alpha, z = _polar(rho, psi), _polar(r, theta)
+    q = cf.conjugation_partner(alpha, z)
+    assert abs(abs(q) - r) <= 1e-15
     symb = symbols.blaschke(alpha)
     np.testing.assert_allclose(
-        cf.bergman_transform(symb, q.z),
-        np.conj(cf.bergman_transform(symb, p.z)),
+        cf.bergman_transform(symb, q),
+        np.conj(cf.bergman_transform(symb, z)),
         atol=1e-12,
     )
 
@@ -141,6 +160,12 @@ def test_boundary_limit_on_axis_sees_the_exceptional_ray():
     alpha = 0.5
     lim = cf.boundary_limit(kernels.BERGMAN, symbols.blaschke(alpha), theta=0.0)
     np.testing.assert_allclose(lim, (1 - alpha) ** 2, atol=1e-3)
+
+
+@pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+def test_boundary_limit_rejects_a_non_finite_angle(theta):
+    with pytest.raises(ValueError, match="^boundary angle theta must be finite, got"):
+        cf.boundary_limit(kernels.BERGMAN, symbols.blaschke(0.5), theta)
 
 
 def test_sample_range_layout_and_berezin_number():

@@ -118,8 +118,8 @@ def test_positive_maps_apply_and_unitality():
     rng = np.random.default_rng(64)
     a = ineq.random_psd(rng, 4)
 
-    def unitality_defect(phi):
-        return np.max(np.abs(phi.apply(np.eye(4)) - np.eye(phi.output_dim(4))))
+    def unitality_defect(phi, m=4):
+        return np.max(np.abs(phi.apply(np.eye(4)) - np.eye(m)))
 
     ident = ineq.PositiveMap.identity()
     np.testing.assert_allclose(ident.apply(a), a)
@@ -132,7 +132,7 @@ def test_positive_maps_apply_and_unitality():
     v = ineq.random_isometry(rng, 4, 2)
     comp = ineq.PositiveMap.compression(v)
     np.testing.assert_allclose(comp.apply(a), v.conj().T @ a @ v, atol=1e-13)
-    assert unitality_defect(comp) <= 1e-12
+    assert unitality_defect(comp, 2) <= 1e-12
 
 
 def test_singleton_pinching_extracts_diagonal():
@@ -257,27 +257,24 @@ def test_mapping_counter_case_fails_condition():
     assert report.condition18_pass_rate < 1.0
 
 
-def test_proposition_checks_power_and_rejections():
+def _ber_sup_reference(g, phi, a):
+    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)) for one operator: the slack of
+    P1 (nonnegative superquadratic f) and of P3 (convex f with f(0) = 0) at
+    g = f, and of the derivative form (eq21) at g = f'."""
+    ber = np.max(np.abs(np.diag(phi.apply(ineq.functional_calculus(a, g)))))
+    return ber - np.max(g(np.real(np.diag(phi.apply(a)))))
+
+
+def test_berezin_number_propositions_hold():
     rng = np.random.default_rng(69)
     phi = ineq.PositiveMap.pinching()
     a = ineq.random_psd(rng, 4)
-    rep = ineq.proposition_checks(ineq.ScalarFunction.power(2), phi, a)
-    assert rep.p1_slack is not None and rep.p1_slack >= -1e-9
-    assert rep.p2_slack is not None and rep.p2_slack >= -1e-9
-    assert rep.p3_slack is not None and rep.p3_slack >= -1e-9
-    assert rep.min_slack() >= -1e-9
-
-    neg = ineq.proposition_checks(ineq.ScalarFunction.neg_const(), phi, a)
-    assert neg.p1_slack is None and neg.p2_slack is None and neg.p3_slack is None
-    assert set(neg.rejected) == {"p1", "p2", "p3"}
-    with pytest.raises(ValueError):
-        neg.min_slack()
-
+    f = ineq.ScalarFunction.power(2)
+    assert _ber_sup_reference(f, phi, a) >= -1e-9  # P1
+    eq21 = ineq.derivative_proposition_check(f, phi, a)
+    assert eq21 == _ber_sup_reference(f.derivative, phi, a) and eq21 >= -1e-9
     # convex with f(0) = 0 but not superquadratic: P3 alone applies
-    convex = ineq.proposition_checks(ineq.ScalarFunction.power(1.5), phi, a)
-    assert convex.p1_slack is None and convex.p2_slack is None
-    assert convex.p3_slack is not None and convex.p3_slack >= -1e-9
-    assert set(convex.rejected) == {"p1", "p2"}
+    assert _ber_sup_reference(ineq.ScalarFunction.power(1.5), phi, a) >= -1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +360,7 @@ def _public_check(f, check):
         "eq4": lambda: ineq.popoviciu_operator_check(f, phi, a, a, a, 0),
         "eq5": lambda: ineq.intermediate_refinement_check(f, phi, a, 1.0, 0),
         "eq16": lambda: ineq.corollary_c1_check(f, phi, a, 0),
-        "eq21": lambda: ineq.proposition_checks(f, phi, a).p2_slack,
+        "eq21": lambda: ineq.derivative_proposition_check(f, phi, a),
     }
     return calls[check]()
 
@@ -377,10 +374,6 @@ def test_unmet_hypotheses_raise_the_cli_message(f, check):
     with pytest.raises(ValueError) as trials_error:
         ineq.run_trials(f, "identity", checks=(check,), trials=3)
     assert str(trials_error.value) == message
-    if check == "eq21":
-        # proposition_checks reports P2 as not applying instead
-        assert _public_check(f, check) is None
-        return
     with pytest.raises(ValueError) as check_error:
         _public_check(f, check)
     assert str(check_error.value) == message
@@ -465,7 +458,7 @@ def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=Fal
             phi = ineq.PositiveMap.pinching()
         else:
             phi = ineq.PositiveMap.compression(ineq.random_isometry(rng, d, max(1, d // 2)))
-        mu = int(rng.integers(phi.output_dim(d)))
+        mu = int(rng.integers(max(1, d // 2) if map_kind == "compression" else d))
         A = ineq.random_psd(rng, d)
         if diag_only:
             A = np.diag(np.diag(A))
@@ -489,9 +482,7 @@ def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=Fal
         if "eq16" in checks:
             record("eq16", ineq.corollary_c1_check(f, phi, A, mu), t)
         if "eq21" in checks:
-            report = ineq.proposition_checks(f, phi, A)
-            if report.p2_slack is not None:
-                record("eq21", report.p2_slack, t)
+            record("eq21", ineq.derivative_proposition_check(f, phi, A), t)
         if "mapping" in checks:
             mp = ineq.berezin_mapping_check(f, phi, A)
             cond18_total += 1
@@ -626,7 +617,7 @@ def test_stacked_operators_equal_per_matrix_bit_for_bit(d):
     assert np.array_equal(
         mapped, np.stack([ineq.PositiveMap.compression(v).apply(a) for v, a in zip(V, psd)])
     )
-    mu = np.arange(len(psd)) % phi.output_dim(d)
+    mu = np.arange(len(psd)) % V.shape[-1]
     assert np.array_equal(ineq.berezin_at(mapped, mu),
                           [ineq.berezin_at(m, i) for m, i in zip(mapped, mu)])
 
@@ -643,23 +634,19 @@ def test_stacked_checks_equal_per_matrix_calls():
     eq4 = ineq.popoviciu_operator_check(f, phi, A, B, C, mu)
     eq5 = ineq.intermediate_refinement_check(f, phi, A, x, mu)
     eq16 = ineq.corollary_c1_check(f, phi, A, mu)
-    props = ineq.proposition_checks(f, phi, A)
+    eq21 = ineq.derivative_proposition_check(f, phi, A)
     mp = ineq.berezin_mapping_check(f, phi, A)
     for i in range(5):
         assert eq4[i] == ineq.popoviciu_operator_check(f, phi, A[i], B[i], C[i], mu[i])
         assert eq5[i] == ineq.intermediate_refinement_check(f, phi, A[i], x[i], mu[i])
         assert eq16[i] == ineq.corollary_c1_check(f, phi, A[i], mu[i])
-        one = ineq.proposition_checks(f, phi, A[i])
-        assert (props.p1_slack[i], props.p2_slack[i], props.p3_slack[i]) == (
-            one.p1_slack, one.p2_slack, one.p3_slack)
+        assert eq21[i] == ineq.derivative_proposition_check(f, phi, A[i])
         single = ineq.berezin_mapping_check(f, phi, A[i])
         assert mp.condition18_failing[i] == single.condition18_failing
         assert mp.condition18_pass_rate[i] == single.condition18_pass_rate
         assert mp.identity_checked[i] == single.identity_checked
         assert mp.identity_max_dev[i] == single.identity_max_dev
         assert mp.sets_equal[i] == single.sets_equal
-    assert np.array_equal(props.min_slack(), np.minimum.reduce(
-        [props.p1_slack, props.p2_slack, props.p3_slack]))
 
 
 def test_single_operator_results_keep_python_scalars():
@@ -669,7 +656,7 @@ def test_single_operator_results_keep_python_scalars():
     assert type(ineq.corollary_c1_check(f, phi, a, 1)) is float
     assert type(ineq.intermediate_refinement_check(f, phi, a, 2.0, 0)) is float
     assert type(ineq.popoviciu_operator_check(f, phi, a, a, a, 2)) is float
-    assert type(ineq.proposition_checks(f, phi, a).p2_slack) is float
+    assert type(ineq.derivative_proposition_check(f, phi, a)) is float
     assert type(ineq.berezin_at(a, 0)) is float
     mp = ineq.berezin_mapping_check(f, phi, np.diag([1.0, 2.0]))
     assert mp.condition18_failing == ()
