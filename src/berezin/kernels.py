@@ -88,9 +88,9 @@ def disk_points(ws) -> np.ndarray:
     """
     ws = np.atleast_1d(np.asarray(ws, dtype=complex))
     if not np.all(np.isfinite(ws)):
-        raise ValueError("kernel coefficients require finite points, got NaN or inf")
+        raise ValueError("expected finite points, got NaN or inf")
     if np.any(np.abs(ws) >= 1.0):
-        raise ValueError("kernel coefficients require |w| < 1")
+        raise ValueError(f"expected points with |w| < 1, got |w| = {np.abs(ws).max()}")
     return ws
 
 

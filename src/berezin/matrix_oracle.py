@@ -15,7 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import symbols as sym
-from .closed_form import PolarGrid, RangeSample
+from .closed_form import TWO_PI, PolarGrid, RangeSample
 from .kernels import (SpaceSpec, as_size, disk_points, kernel_scales, model_space,
                       normalized_kernel_matrix, row_blocks)
 
@@ -30,14 +30,11 @@ __all__ = [
 ]
 
 # Bytes of one chunk of berezin_grid's work, so that its working set does not
-# grow with the number of points.  The direct route takes its points in
-# chunks whose kernel block has this size: the block and its product with the
-# operator are two such blocks.  Every array of the ring route takes at most
-# an eighth of this size (512 KiB): its moduli come in runs whose coefficients
-# take that much, its diagonal table in row blocks of that size, and its
-# points in runs of _CHUNK_BYTES // 256 = 16,384, whose two Horner
-# accumulators take it.  Arrays that small stay in cache, and the heap they
-# leave behind is small too.
+# grow with the number of points.  A direct-route chunk holds its kernel block
+# and the block's product with the operator, each of this size.  A polar-route
+# chunk holds rings whose coefficients, padded to a multiple of P, take an
+# eighth of it (512 KiB), as does each row block of its diagonal table.  Arrays
+# that small stay in cache, and the heap they leave behind is small too.
 _CHUNK_BYTES = 2**22
 
 # berezin_grid keeps the first M(w) rows at each point w: the smallest
@@ -207,46 +204,29 @@ def berezin_grid(op: OperatorMatrix, space: SpaceSpec, ws) -> np.ndarray:
     Each point w is evaluated on the leading M(w) x M(w) block only, with
     M(w) from ``_kernel_rows``: the rows it drops move the value by at most
     (2 tau_M + tau_M^2) ||C||_2 <= 2^-60 (1 + tau_M / 2), by the same bound.
-    M depends on |w| alone: the points are sorted by modulus once (exact
-    equality of |w|), M is found per modulus, and each run of moduli with one
-    M shares its block.  In a run, a modulus decides the route of its points:
 
-    * held by one point, the direct route: the kernel block, its product
-      with the M x M block and the conjugate reduction (``_direct_route``);
-    * shared by two or more points, the ring route: on the circle |w| = r
-      the value is a trigonometric polynomial whose 2M - 1 coefficients cost
-      one O(M^2) pass per modulus, after which each point costs O(M)
-      (``_ring_route``).
-
-    Both routes take their points in chunks of about ``_CHUNK_BYTES``, so
-    memory does not grow with the number of points.
+    The layout of ``ws`` decides the route.  A polar mesh, row k equal to
+    r_k exp(2 pi i j / P) for j < P as ``PolarGrid.mesh`` builds it from
+    ``PolarGrid.regular``'s angles, takes ``_polar_route``: one O(M^2)
+    coefficient pass and one length-P inverse FFT per ring.  Any other input
+    takes ``_direct_route`` once per value of M, with that M's points in input
+    order.  Both routes work in chunks of about ``_CHUNK_BYTES``, so memory
+    does not grow with the number of points.
     """
     _check_basis(op, space)
     ws = np.asarray(ws, dtype=complex)
     flat = disk_points(ws.ravel())
     if not flat.size:
         return np.empty(ws.shape, dtype=complex)
-    radii = np.abs(flat)
-    order = np.argsort(radii)
-    radii = radii[order]
-    # the k-th modulus (exact equality of |w|) starts at bounds[k] in ``order``
-    bounds = np.append(np.flatnonzero(np.r_[True, radii[1:] != radii[:-1]]), flat.size)
-    del radii  # free the sorted moduli before the routes allocate theirs
-    held = np.diff(bounds)  # points on each modulus
-    alone = np.repeat(held == 1, held)  # per point of ``order``
-    rows = _kernel_rows(op, space, flat[order[bounds[:-1]]])
-    # runs of consecutive moduli with one M (M >= 1, so 0 marks both ends); M
-    # never decreases as |w| grows, but the runs do not rely on that
-    cuts = np.flatnonzero(np.diff(rows, prepend=0, append=0)).tolist()
+    if ws.ndim == 2:
+        r = ws[:, 0].real
+        turn = np.exp(1j * np.linspace(0.0, TWO_PI, ws.shape[1], endpoint=False))
+        if np.array_equal(ws, r[:, None] * turn[None, :]):
+            return _polar_route(op, space, r, ws.shape[1])
+    rows = _kernel_rows(op, space, flat)
     vals = np.empty(flat.size, dtype=complex)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        block = op.entries[:rows[a], :rows[a]]
-        run, lone, h = order[bounds[a]:bounds[b]], alone[bounds[a]:bounds[b]], held[a:b]
-        # lone points in input order: a column's last bit can depend on its
-        # place in the GEMM, and the recorded outputs used this order
-        _direct_route(space, block, flat, np.sort(run[lone]), vals)
-        if h.size < run.size:  # some modulus of the run holds two or more points
-            _ring_route(space, block, flat, run[~lone], h[h > 1], vals)
+    for M in np.flatnonzero(np.bincount(rows)).tolist():
+        _direct_route(space, op.entries[:M, :M], flat, np.flatnonzero(rows == M), vals)
     return vals.reshape(ws.shape)
 
 
@@ -265,49 +245,46 @@ def _direct_route(space, block, flat, ix, vals) -> None:
         del v, mv  # free this chunk's blocks before the next one is built
 
 
-def _ring_route(space, block, flat, ix, held, vals) -> None:
-    """Write the values at the points ``flat[ix]`` into ``vals``, modulus by modulus.
+def _polar_route(op: OperatorMatrix, space: SpaceSpec, r: np.ndarray, P: int) -> np.ndarray:
+    """Values on the mesh r_k exp(2 pi i j / P), shape (r.size, P).
 
-    ``ix`` lists the points one modulus after another; modulus k holds
-    ``held[k]`` points.  With C' = diag(wt) C diag(wt) for C = ``block`` and
-    c2 from ``kernels.kernel_scales``, a point w with |w|^2 = s has the value
+    With C' = diag(wt) C diag(wt) for the M x M block C and c2 from
+    ``kernels.kernel_scales``, a point w = r e^{i theta}, s = r^2, has the value
 
         c2(s) (sum_{d>=0} b_d(s) w^d + conj(sum_{d>=1} conj(b_{-d}(s)) w^d)),
-        b_d(s) = sum_m C'[m + d, m] s^m,  b_{-d}(s) = sum_m C'[m, m + d] s^m,
+        b_d(s) = sum_m C'[m + d, m] s^m,  b_{-d}(s) = sum_m C'[m, m + d] s^m.
 
-    a trigonometric polynomial in w/|w| whose coefficients
-    (``_ring_coefficients``) cost O(M^2) per modulus.  Each point then costs
-    O(M): both polynomials are evaluated at w by Horner's rule.  The moduli
-    are taken in runs whose coefficients take an eighth of ``_CHUNK_BYTES``,
-    and their points in runs of ``_CHUNK_BYTES // 256``.
+    At theta_j = 2 pi j / P each sum is an unnormalized length-P inverse DFT
+    of the coefficients b_d(s) r^d folded mod P.  The rings of one M go in
+    chunks whose coefficients, padded to a multiple of P, take an eighth of
+    ``_CHUNK_BYTES``.
     """
-    M = block.shape[0]
-    ring_end = np.cumsum(held)
-    ring_s = np.abs(flat[ix[ring_end - held]]) ** 2
-    ring_of = np.repeat(np.arange(held.size), held)
-    step = max(1, _CHUNK_BYTES // (256 * M))
-    for k0 in range(0, held.size, step):
-        k1 = min(k0 + step, held.size)
-        wt, c2 = kernel_scales(space, ring_s[k0:k1], M)
-        coef = _ring_coefficients(block, wt, ring_s[k0:k1])
-        points_end = ring_end[k1 - 1]
-        for lo in range(ring_end[k0] - held[k0], points_end, _CHUNK_BYTES // 256):
-            part = slice(lo, min(lo + _CHUNK_BYTES // 256, points_end))
-            ring = ring_of[part] - k0
-            w = flat[ix[part]]
-            y = coef[M - 1].take(ring, axis=1)
-            for d in range(M - 2, -1, -1):
-                y *= w
-                y += coef[d].take(ring, axis=1)
-            np.conj(y[1], out=y[1])
-            y[0] += y[1]
-            y[0] *= c2[ring]
-            vals[ix[part]] = y[0]
+    rows = _kernel_rows(op, space, r)
+    vals = np.empty((r.size, P), dtype=complex)
+    for M in np.flatnonzero(np.bincount(rows)).tolist():
+        width = -(-M // P) * P  # M rounded up to a multiple of P
+        rings = np.flatnonzero(rows == M)
+        step = max(1, _CHUNK_BYTES // (256 * width))
+        for lo in range(0, rings.size, step):
+            part = rings[lo:lo + step]
+            s = r[part] ** 2
+            wt, c2 = kernel_scales(space, s, M)
+            coef = np.zeros((part.size, 2, width), dtype=complex)
+            np.multiply(_ring_coefficients(op.entries[:M, :M], wt, s),
+                        (r[part, None] ** np.arange(M))[:, None, :], out=coef[..., :M])
+            if width > P:
+                coef = coef.reshape(part.size, 2, -1, P).sum(axis=2)
+            y = np.fft.ifft(coef, norm="forward")
+            y[:, 0] += np.conj(y[:, 1], out=y[:, 1])  # in place: temporaries cost page faults
+            y[:, 0] *= c2[:, None]
+            vals[part] = y[:, 0]
+            del coef, y  # before the next chunk's are built
+    return vals
 
 
 def _ring_coefficients(block: np.ndarray, wt: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """coef[d, 0, k] = b_d(s_k) and, for d >= 1, coef[d, 1, k] = conj(b_{-d}(s_k)),
-    as in ``_ring_route``; coef[0, 1] is zero.
+    """coef[k, 0, d] = b_d(s_k) and, for d >= 1, coef[k, 1, d] = conj(b_{-d}(s_k)),
+    as in ``_polar_route``; coef[k, 1, 0] is zero.
 
     The diagonals of C' = diag(wt) block diag(wt) are laid out by
     m = min(j, k) in row blocks (``_diagonals``) that take an eighth of
@@ -324,7 +301,7 @@ def _ring_coefficients(block: np.ndarray, wt: np.ndarray, s: np.ndarray) -> np.n
         else:
             np.matmul(powers, table, out=real)
         del table  # before the next block's table is built
-    return np.ascontiguousarray(coef.reshape(-1, 2, M).T)
+    return coef.reshape(-1, 2, M)
 
 
 def _diagonals(block: np.ndarray, wt: np.ndarray, m: slice) -> np.ndarray:

@@ -288,7 +288,6 @@ def test_criterion_10_mapping_identity():
             assert report.condition18_pass_rate == 1.0
             assert report.identity_checked
             assert report.identity_max_dev <= 1e-10
-            assert report.sets_equal
     counter = np.array([[2.0, 1.0], [1.0, 2.0]])
     report = ineq.berezin_mapping_check(POWER2, pinching, counter)
     assert 0 in report.condition18_failing

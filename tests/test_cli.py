@@ -333,6 +333,12 @@ class TestIneq:
         assert f"power exponent must be finite, got {exponent}" in proc.stderr
         assert not proc.stdout
 
+    def test_unparsable_function_exits_2(self, tmp_path):
+        proc = run_cli(["ineq", "--f", "power:abc", "--trials", "5"], tmp_path)
+        assert proc.returncode == 2
+        assert "error: cannot parse function spec 'power:abc': " in proc.stderr
+        assert not proc.stdout
+
     def test_negative_seed_exits_2(self, tmp_path):
         proc = run_cli(["ineq", "--seed", "-1", "--trials", "5"], tmp_path)
         assert proc.returncode == 2

@@ -116,6 +116,13 @@ def test_points_off_the_open_disk_are_rejected(space, bad, reason):
         kernel_column(space, bad, N)
 
 
+def test_disk_messages_name_the_points_not_a_caller():
+    with pytest.raises(ValueError, match=r"^expected finite points, got NaN or inf$"):
+        kernels.disk_points([0.5, np.nan])
+    with pytest.raises(ValueError, match=r"^expected points with \|w\| < 1, got \|w\| = 2.0$"):
+        kernels.disk_points([0.5, 1.0, -2j])
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 64])
 def test_row_blocks_cover_the_rows_and_leave_no_single_row_block(rows):
     for n in sorted({0, 1, 2, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows, 2 * rows + 1}):

@@ -476,13 +476,19 @@ def test_berezin_grid_keeps_mesh_shape_across_chunks(monkeypatch, N, chunk_point
     )
 
 
-# A mesh with its r = 0 ring; at N = 129 the outer moduli keep all 129 rows,
-# which the ring route pads to 11 x 12 powers.
+# A mesh with its r = 0 ring; at N = 129 the outer rings keep all 129 rows,
+# whose coefficients the polar route pads to 6 x 24 and folds onto 24 angles.
 _RING_MESH = cf.PolarGrid.regular(40, 24, 0.99)
 
 
+def _reference_by_rows(op, space, ws, rows=16):
+    """reference_berezin_grid on ``rows`` rows of the mesh ``ws`` at a time."""
+    return np.concatenate([reference_berezin_grid(op, space, ws[i:i + rows])
+                           for i in range(0, len(ws), rows)])
+
+
 @pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
-def test_ring_route_on_a_mesh_equals_whole_matrix(symb):
+def test_polar_route_on_a_mesh_equals_whole_matrix(symb):
     ws = _RING_MESH.mesh()
     for space in (kernels.HARDY, kernels.BERGMAN):
         op = oracle.composition_matrix(space, symb, 129)
@@ -491,84 +497,147 @@ def test_ring_route_on_a_mesh_equals_whole_matrix(symb):
         np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
 
 
-def _route_sizes(monkeypatch, blocks=None):
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.BERGMAN], ids=lambda s: s.label)
+def test_polar_route_on_the_range_grid_equals_whole_matrix(space):
+    # the default 200 x 256 grid of ``range`` at the oracle workload's N; the
+    # reference kernels of 16 rows at a time serve every symbol
+    ws = cf.PolarGrid.regular(200, 256, 0.99).mesh()
+    ops = [oracle.composition_matrix(space, symb, 256) for symb in _REFERENCE_SYMBOLS]
+    got = [oracle.berezin_grid(op, space, ws) for op in ops]
+    for i in range(0, len(ws), 16):
+        v = reference_kernel_matrix(space, ws[i:i + 16].ravel(), 256)
+        for op, vals in zip(ops, got):
+            ref = np.einsum("ip,ip->p", np.conj(v), op.entries @ v)
+            np.testing.assert_allclose(vals[i:i + 16].ravel(), ref, rtol=0, atol=1e-13)
+
+
+def _route_sizes(monkeypatch, calls=None):
     """Record how many points each route of berezin_grid is given, summed
-    over the route calls of each berezin_grid call; ``blocks`` collects
-    (route, M, the points given) per route call."""
-    sizes = {"direct": [], "ring": []}
-    grid, direct, ring = oracle.berezin_grid, oracle._direct_route, oracle._ring_route
+    over the route calls of each berezin_grid call; ``calls`` collects
+    (M, the indices given) per direct-route call."""
+    sizes = {"direct": [], "polar": []}
+    grid, direct, polar = oracle.berezin_grid, oracle._direct_route, oracle._polar_route
 
     def spy_grid(*args):
         for route in sizes.values():
             route.append(0)
         return grid(*args)
 
-    def spy(route, call):
-        def spied(space, block, flat, ix, *rest):
-            sizes[route][-1] += ix.size
-            if blocks is not None:
-                blocks.append((route, block.shape[0], flat[ix]))
-            call(space, block, flat, ix, *rest)
-        return spied
+    def spy_direct(space, block, flat, ix, vals):
+        sizes["direct"][-1] += ix.size
+        if calls is not None:
+            calls.append((block.shape[0], ix))
+        direct(space, block, flat, ix, vals)
+
+    def spy_polar(op, space, r, P):
+        sizes["polar"][-1] += r.size * P
+        return polar(op, space, r, P)
 
     monkeypatch.setattr(oracle, "berezin_grid", spy_grid)
-    monkeypatch.setattr(oracle, "_direct_route", spy("direct", direct))
-    monkeypatch.setattr(oracle, "_ring_route", spy("ring", ring))
+    monkeypatch.setattr(oracle, "_direct_route", spy_direct)
+    monkeypatch.setattr(oracle, "_polar_route", spy_polar)
     return sizes
 
 
-def test_mixed_points_take_both_routes_in_input_order(monkeypatch):
+def test_only_a_polar_mesh_takes_the_polar_route(monkeypatch):
+    # A mesh is taken as polar only when it equals, bit for bit, the mesh of
+    # its first column's radii and P angles 2 pi j / P.
+    grid = cf.PolarGrid.regular(40, 24, 0.99)
+    mesh = grid.mesh()
+    moved = mesh.copy()
+    moved[7, 5] = complex(np.nextafter(mesh[7, 5].real, 1.0), mesh[7, 5].imag)
+    turned = cf.PolarGrid(grid.r_values, grid.theta_values + 0.1).mesh()
+    sizes = _route_sizes(monkeypatch)
+    for ws in (mesh, moved, turned, mesh.ravel()):
+        for space in (kernels.HARDY, kernels.BERGMAN):
+            op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), 129)
+            got = oracle.berezin_grid(op, space, ws)
+            assert got.shape == ws.shape
+            np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws),
+                                       rtol=0, atol=1e-13)
+    assert sizes["polar"] == [mesh.size] * 2 + [0] * 6
+    assert sizes["direct"] == [0] * 2 + [mesh.size] * 6
+
+
+def test_mixed_points_take_the_direct_route_in_input_order(monkeypatch):
     # Mesh points share moduli, random points do not, and _EDGE_POINTS hold
-    # both kinds (1e-200 and -1e-200j share one, as do 0.999 and -0.999).
+    # both kinds (1e-200 and -1e-200j share one, as do 0.999 and -0.999);
+    # shuffled into a 2-D array, they are no polar mesh.
     rng = np.random.default_rng(8)
     lone = rng.uniform(0, 0.99, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
     ws = np.concatenate([_RING_MESH.mesh().ravel(), _EDGE_POINTS, lone])
     ws = ws[rng.permutation(ws.size)].reshape(3, -1)
-    sizes = _route_sizes(monkeypatch)
+    calls = []
+    sizes = _route_sizes(monkeypatch, calls)
     for space in (kernels.HARDY, kernels.BERGMAN):
         op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), 129)
         got = oracle.berezin_grid(op, space, ws)
         assert got.shape == ws.shape
         np.testing.assert_allclose(got, reference_berezin_grid(op, space, ws), rtol=0, atol=1e-13)
-    assert min(sizes["direct"]) >= 50 and min(sizes["ring"]) >= _RING_MESH.mesh().size // 2
-    assert all(d + r == ws.size for d, r in zip(sizes["direct"], sizes["ring"]))
+    assert sizes["direct"] == [ws.size] * 2 and sizes["polar"] == [0, 0]
+    assert all(np.all(np.diff(ix) > 0) for _, ix in calls)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7])
-def test_ring_route_on_model_spaces_equals_whole_matrix(n, monkeypatch):
+# Meshes that fold each ring's 2M - 1 coefficients onto its P angles in
+# every way: one angle, P far below 2M - 1 (the 2000 x 8 grid of ``sweep``),
+# and P above it; each holds the r = 0 ring.
+_FOLD_MESHES = {
+    "P=1": cf.PolarGrid.regular(40, 1, 0.99),
+    "sweep 2000x8": cf.PolarGrid.regular(2000, 8),
+    "P=513": cf.PolarGrid.regular(12, 513, 0.99),
+}
+
+
+@pytest.mark.parametrize("mesh", _FOLD_MESHES)
+@pytest.mark.parametrize(
+    "symb", _REFERENCE_SYMBOLS + [symbols.automorphism(2.6, 2.4)], ids=lambda s: s.label
+)
+def test_polar_route_folds_each_ring_onto_its_angles(symb, mesh, monkeypatch):
+    ws = _FOLD_MESHES[mesh].mesh()
+    assert np.all(ws[0] == 0)
+    sizes = _route_sizes(monkeypatch)
+    for space in (kernels.HARDY, kernels.BERGMAN):
+        op = oracle.composition_matrix(space, symb, 129)
+        np.testing.assert_allclose(
+            oracle.berezin_grid(op, space, ws), _reference_by_rows(op, space, ws),
+            rtol=0, atol=1e-13,
+        )
+    assert sizes["polar"] == [ws.size] * 2 and sizes["direct"] == [0, 0]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_polar_route_on_model_spaces_equals_whole_matrix(n, monkeypatch):
     sizes = _route_sizes(monkeypatch)
     op = oracle.model_operator_matrix(n)
-    got = oracle.berezin_grid(op, op.space, _RING_MESH.mesh())
-    np.testing.assert_allclose(
-        got, reference_berezin_grid(op, op.space, _RING_MESH.mesh()), rtol=0, atol=1e-13
-    )
-    assert sizes["ring"][0] > 0.9 * _RING_MESH.mesh().size
+    for grid in [_RING_MESH, *_FOLD_MESHES.values()]:
+        ws = grid.mesh()
+        np.testing.assert_allclose(
+            oracle.berezin_grid(op, op.space, ws), _reference_by_rows(op, op.space, ws),
+            rtol=0, atol=1e-13,
+        )
+        assert sizes["polar"][-1] == ws.size and sizes["direct"][-1] == 0
 
 
-def test_ring_route_across_chunks(monkeypatch):
-    # Runs of one modulus and of 3 points, and diagonal row blocks of one or
-    # two rows: each modulus of 8 points spans three runs of points.
+def test_polar_route_across_chunks(monkeypatch):
+    # Chunks of three rings at M = 129 (6 x 24 coefficients each), so the
+    # rings of every M span several chunks, and diagonal row blocks of three
+    # rows, with a leftover row at M = 64 and 128.
     N = 129
-    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 256 * 3)
-    rng = np.random.default_rng(9)
-    a, b = rng.uniform(0, 0.7, (2, 20))
-    turns = [a + 1j * b, a - 1j * b, -a + 1j * b, -a - 1j * b,
-             b + 1j * a, b - 1j * a, -b + 1j * a, -b - 1j * a]
-    ws = np.concatenate([np.ravel(turns), _RING_MESH.mesh().ravel()])
-    radii = np.abs(ws[:160]).reshape(8, 20)
-    assert np.all(radii == radii[0])
+    monkeypatch.setattr(oracle, "_CHUNK_BYTES", 256 * 3 * 144)
+    ws = _RING_MESH.mesh()
     for space in (kernels.HARDY, kernels.BERGMAN):
         op = oracle.composition_matrix(space, symbols.blaschke(0.3 + 0.4j), N)
+        assert np.bincount(oracle._kernel_rows(op, space, _RING_MESH.r_values))[N] == 20
         np.testing.assert_allclose(
             oracle.berezin_grid(op, space, ws), reference_berezin_grid(op, space, ws),
             rtol=0, atol=1e-13,
         )
 
 
-def test_runs_of_one_row_count_take_both_routes(monkeypatch):
+def test_each_row_count_takes_one_direct_call(monkeypatch):
     # Lone moduli among shared ones (eight turns of a + bi share a modulus),
-    # shuffled, at N = 1024: some runs of one M hold points of both routes,
-    # and each route call gets the block of its run.
+    # shuffled, at N = 1024: one direct-route call per M, in increasing M,
+    # each given the block of its M and its points in input order.
     rng = np.random.default_rng(10)
     a, b = rng.uniform(0, 0.7, (2, 30))
     turns = [a + 1j * b, a - 1j * b, -a + 1j * b, -a - 1j * b,
@@ -578,21 +647,17 @@ def test_runs_of_one_row_count_take_both_routes(monkeypatch):
     ws = ws[rng.permutation(ws.size)]
     calls = []
     sizes = _route_sizes(monkeypatch, calls)
-    for i, space in enumerate((kernels.HARDY, kernels.BERGMAN)):
+    for space in (kernels.HARDY, kernels.BERGMAN):
         calls.clear()
         op = oracle.composition_matrix(space, symbols.automorphism(1.25, 0.75j), 1024)
         np.testing.assert_allclose(
             oracle.berezin_grid(op, space, ws), reference_berezin_grid(op, space, ws),
             rtol=0, atol=1e-13,
         )
-        assert sizes["direct"][i] + sizes["ring"][i] == ws.size
-        both = {M for route, M, w in calls if route == "direct" and w.size} & {
-            M for route, M, w in calls if route == "ring" and w.size}
-        assert len(both) >= 3
-        assert all(np.all(oracle._kernel_rows(op, space, w) == M) for _, M, w in calls)
-        # at most one call per route and run, and one run per M, in increasing M
-        for route in sizes:
-            assert np.all(np.diff([M for r, M, _ in calls if r == route]) > 0)
+        rows = oracle._kernel_rows(op, space, ws)
+        assert [M for M, _ in calls] == np.unique(rows).tolist() and len(calls) >= 3
+        assert all(np.array_equal(ix, np.flatnonzero(rows == M)) for M, ix in calls)
+    assert sizes["direct"] == [ws.size] * 2 and sizes["polar"] == [0, 0]
 
 
 def test_berezin_grid_memory_is_bounded():
@@ -611,6 +676,20 @@ def test_berezin_grid_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 3 * oracle._CHUNK_BYTES + 2 * 2**20 <= 14 * 2**20
+
+
+def test_direct_route_memory_is_bounded():
+    # The same 51,200 points raveled are no polar mesh: the direct route
+    # keeps the chunk's two blocks plus about 2 MiB of per-point arrays.
+    ws = cf.PolarGrid.regular(200, 256, 0.99).mesh().ravel()
+    op = oracle.composition_matrix(kernels.BERGMAN, symbols.blaschke(0.5), 256)
+    tracemalloc.start()
+    try:
+        oracle.berezin_grid(op, kernels.BERGMAN, ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * oracle._CHUNK_BYTES + 2 * 2**20
 
 
 def _tail_norm(space, ws, N):
