@@ -30,21 +30,11 @@ def parse_complex(text: str) -> complex:
     if not t:
         raise ValueError("empty complex literal")
     try:
-        if not t.endswith("i"):
-            return complex(float(t), 0.0)
-        body = t[:-1]
-        re_part, im_part = "", body
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                re_part, im_part = body[:k], body[k:]
-                break
-        if im_part in ("", "+"):
-            im_val = 1.0
-        elif im_part == "-":
-            im_val = -1.0
-        else:
-            im_val = float(im_part)
-        return complex(float(re_part) if re_part else 0.0, im_val)
+        # Python's complex literal with i for j; complex() also reads j, J and
+        # parentheses, which this syntax does not have.
+        if any(c in t for c in "jJ()"):
+            raise ValueError(t)
+        return complex(t[:-1] + "j") if t.endswith("i") else complex(float(t), 0.0)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex literal {text!r}") from exc
 

@@ -36,11 +36,7 @@ __all__ = [
     "functional_calculus",
     "abs_op",
     "berezin_at",
-    "popoviciu_operator_check",
-    "intermediate_refinement_check",
-    "corollary_c1_check",
     "berezin_mapping_check",
-    "derivative_proposition_check",
     "random_psd",
     "random_isometry",
     "run_trials",
@@ -373,22 +369,16 @@ def _f_abs_term(f, phi, X, s, mu):
     return berezin_at(phi.apply(functional_calculus(abs_op(shifted), f)), mu)
 
 
-def popoviciu_operator_check(f: ScalarFunction, phi: PositiveMap, A, B, C, mu):
+# The slacks below take A already Hermitian and its f(A): run_trials computes
+# both once per stack for every check.  Their callers have checked f's
+# hypotheses, and every PositiveMap is unital by construction.
+
+def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     """Slack (LHS - RHS) of the three-operator Popoviciu refinement, exactly
     as displayed: the 2/3 bracket of pair terms and the 1/3 bracket of six
     correction terms (three operator f-terms at the paired Berezin scalars,
     three scalar f(|...|) terms at the sixth-difference combinations).
     """
-    _require(f, "eq4")
-    H = _as_hermitian(A)
-    return _popoviciu_slack(f, phi, H, B, C, mu, functional_calculus(H, f))
-
-
-# The private cores below take A already Hermitian and its f(A): run_trials
-# computes both once per stack for every check.  Their callers have checked
-# f's hypotheses, and every PositiveMap is unital by construction.
-
-def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     B, C = _as_hermitian(B), _as_hermitian(C)
     if not (A.shape == B.shape == C.shape):
         raise ValueError("dimension mismatch among the three operators")
@@ -413,7 +403,7 @@ def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     return _unstacked(lhs - pair - corr)
 
 
-def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu):
+def _intermediate_slack(f, phi, T, x, mu, fT):
     """Slack of the intermediate pointwise-to-operator bound
 
         (Phi(f(T)))~(mu) >= f(x) + C_x (Phi(T - xI))~(mu)
@@ -423,30 +413,18 @@ def intermediate_refinement_check(f: ScalarFunction, phi: PositiveMap, T, x, mu)
     single-point engine behind the refinement corollaries; it is a true
     inequality for every superquadratic catalog function.
     """
-    _require(f, "eq5")
-    H = _as_hermitian(T)
-    return _intermediate_slack(f, phi, H, x, mu, functional_calculus(H, f))
-
-
-def _intermediate_slack(f, phi, T, x, mu, fT):
     x = np.asarray(x, dtype=float)
     lhs = berezin_at(phi.apply(fT), mu)
     linear = f.derivative(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
     return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
 
-def corollary_c1_check(f: ScalarFunction, phi: PositiveMap, A, mu):
+def _c1_slack(f, phi, A, mu, fA):
     """Slack of the single-operator refinement
 
         -f(0) >= f((Phi(A))~(mu)) - (Phi(f(A)))~(mu)
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
-    _require(f, "eq16")
-    H = _as_hermitian(A)
-    return _c1_slack(f, phi, H, mu, functional_calculus(H, f))
-
-
-def _c1_slack(f, phi, A, mu, fA):
     a = _berezin_of_map(phi, A, mu)
     rhs = f(a) - berezin_at(phi.apply(fA), mu) + _f_abs_term(f, phi, A, a, mu)
     return _unstacked(-f(0.0) - rhs)
@@ -464,12 +442,24 @@ class MappingReport:
     ``condition18_failing`` holds one tuple of indices per matrix.
     """
 
-    condition18_failing: tuple
-    condition18_pass_rate: float | np.ndarray
+    failing: np.ndarray  # where condition (18) fails
     identity_checked: bool | np.ndarray
     identity_max_dev: float | np.ndarray
     lhs_values: np.ndarray  # f applied to diag of Phi(A)
     rhs_values: np.ndarray  # diag of Phi(f(A))
+
+    @property
+    def condition18_failing(self) -> tuple:
+        """The indices where condition (18) fails."""
+        indices = tuple(tuple(int(i) for i in np.flatnonzero(row))
+                        for row in self.failing.reshape(-1, self.failing.shape[-1]))
+        return indices[0] if self.failing.ndim == 1 else indices
+
+    @property
+    def condition18_pass_rate(self) -> float | np.ndarray:
+        """The share of indices where condition (18) holds."""
+        failing = self.failing
+        return _unstacked(1.0 - np.count_nonzero(failing, axis=-1) / failing.shape[-1])
 
 
 def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingReport:
@@ -490,39 +480,24 @@ def _mapping_report(f, phi, A, fA) -> MappingReport:
     rhs = np.real(_diagonal(phi_fA))
     failing = lhs < rhs - CONDITION18_TOL
     fails = np.any(failing, axis=-1)
-    pass_rate = 1.0 - np.count_nonzero(failing, axis=-1) / lhs.shape[-1]
     max_dev = np.where(fails, np.inf, np.max(np.abs(lhs - rhs), axis=-1))
-    indices = tuple(
-        tuple(int(i) for i in np.flatnonzero(row))
-        for row in failing.reshape(-1, failing.shape[-1])
-    )
-    return MappingReport(
-        indices[0] if failing.ndim == 1 else indices,
-        _unstacked(pass_rate),
-        _unstacked(~fails),
-        _unstacked(max_dev),
-        lhs,
-        rhs,
-    )
+    return MappingReport(failing, _unstacked(~fails), _unstacked(max_dev), lhs, rhs)
 
 
 def _ber_sup_slack(g, phi: PositiveMap, A):
-    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)) for A already Hermitian."""
-    diag = np.real(_diagonal(phi.apply(A)))
-    ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
-    return _unstacked(ber - np.max(g(diag), axis=-1))
+    """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)) for A already Hermitian.
 
-
-def derivative_proposition_check(f: ScalarFunction, phi: PositiveMap, A):
-    """Slack of the derivative form of the Berezin-number proposition
+    At g = f' this is the slack of the derivative form of the Berezin-number
+    proposition
 
         ber(Phi(f'(A))) >= sup_mu f'((Phi(A))~(mu))
 
     for nonnegative superquadratic f with f(0) = f'(0) = 0 and f' convex,
     for one operator or a (k, d, d) stack.
     """
-    _require(f, "eq21")
-    return _ber_sup_slack(f.derivative, phi, _as_hermitian(A))
+    diag = np.real(_diagonal(phi.apply(A)))
+    ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
+    return _unstacked(ber - np.max(g(diag), axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -659,7 +634,6 @@ class TrialReport:
     dims: tuple[int, ...]
     function: str
     map: str
-    checks: tuple[str, ...]
     min_slacks: dict
     argmin_trial: dict
     skipped: tuple[str, ...]
@@ -819,7 +793,6 @@ def run_trials(
         dims=dims,
         function=f.name,
         map=map_kind,
-        checks=checks,
         min_slacks=mins,
         argmin_trial=argmin,
         skipped=skipped,

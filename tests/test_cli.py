@@ -62,7 +62,7 @@ class TestParseComplex:
             assert parse_complex(text) == expected, text
 
     def test_rejects_garbage(self):
-        for text in ("abc", "1+2j+3i", "", "--"):
+        for text in ("abc", "1+2j+3i", "", "--", "1+2j", "j", "(1)", "(1+2i)"):
             with pytest.raises(ValueError):
                 parse_complex(text)
 
@@ -617,3 +617,57 @@ def test_cli_imports_no_dataclasses():
         elif isinstance(node, ast.ImportFrom) and not node.level:
             imported.add(node.module.split(".")[0])
     assert "dataclasses" not in imported
+
+
+def _names_used(tree, skip=None):
+    """The identifiers a module reads as names or attributes or imports,
+    outside its top-level definition of ``skip``."""
+    used = set()
+    for top in tree.body:
+        if getattr(top, "name", None) == skip:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def _exports(tree):
+    """The names in a module's __all__ but dunders such as __version__, which
+    tools read by convention."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            return [elt.value for elt in node.value.elts if not elt.value.startswith("__")]
+    return []
+
+
+# Exported only so that bench/tracer.py:129 can wrap them by name; they leave
+# src with the benchmark revision (ROADMAP items 1 and 14).
+_TRACED_ONLY = {"geometry.classify_shape", "geometry.default_tolerance",
+                "geometry.hausdorff_distance", "geometry.hull_signed_depth"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # A name in a module's __all__ is read by another package module, by its
+    # own module outside its definition, or by the benchmark's code.  The
+    # traced-only names must still be wrapped and have no caller, so the
+    # allow-list fails once they gain one or the tracer drops them.
+    bench = pathlib.Path(__file__).resolve().parent.parent / "bench"
+    bench_used = set().union(*(_names_used(ast.parse(path.read_text(), str(path)))
+                               for path in sorted(bench.glob("*.py"))))
+    modules = _parsed_modules()
+    used = {name: _names_used(tree) for name, tree in modules}
+    uncalled = set()
+    for name, tree in modules:
+        callers = bench_used.union(*(u for other, u in used.items() if other != name))
+        uncalled |= {f"{name[:-3]}.{export}" for export in _exports(tree)
+                     if export not in callers | _names_used(tree, skip=export)}
+    assert uncalled == _TRACED_ONLY
+    tracer = ast.parse((bench / "tracer.py").read_text())
+    wrapped = {node.value for node in ast.walk(tracer) if isinstance(node, ast.Constant)}
+    assert {name.partition(".")[2] for name in _TRACED_ONLY} <= wrapped

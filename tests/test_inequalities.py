@@ -192,7 +192,7 @@ def test_three_operator_check_scalar_closed_form():
     phi = ineq.PositiveMap.identity()
     one = lambda t: np.array([[float(t)]])
     for a, b, c in ((1.0, 2.0, 3.0), (0.0, 1.0, 5.0), (2.0, 2.0, 2.0)):
-        slack = ineq.popoviciu_operator_check(f, phi, one(a), one(b), one(c), 0)
+        slack = popoviciu_operator_check(f, phi, one(a), one(b), one(c), 0)
         expected = -(2.0 / 9.0) * ((a - b) ** 2 + (b - c) ** 2 + (a - c) ** 2)
         np.testing.assert_allclose(slack, expected, atol=1e-12)
 
@@ -205,8 +205,8 @@ def test_three_operator_check_equal_inputs_power():
     phi = ineq.PositiveMap.identity()
     for _ in range(20):
         a = ineq.random_psd(rng, 4)
-        slack = ineq.popoviciu_operator_check(f, phi, a, a, a, 1)
-        single = ineq.corollary_c1_check(f, phi, a, 1)
+        slack = popoviciu_operator_check(f, phi, a, a, a, 1)
+        single = corollary_c1_check(f, phi, a, 1)
         np.testing.assert_allclose(slack, single, atol=1e-9)
         assert slack >= -1e-9
 
@@ -216,7 +216,7 @@ def test_three_operator_check_rejects_non_superquadratic():
     phi = ineq.PositiveMap.identity()
     a = np.eye(2)
     with pytest.raises(ValueError, match="superquadratic"):
-        ineq.popoviciu_operator_check(f, phi, a, a, a, 0)
+        popoviciu_operator_check(f, phi, a, a, a, 0)
 
 
 def test_intermediate_refinement_nonnegative():
@@ -226,7 +226,7 @@ def test_intermediate_refinement_nonnegative():
         for _ in range(50):
             t = ineq.random_psd(rng, 3)
             x = float(rng.uniform(0, 10))
-            assert ineq.intermediate_refinement_check(f, phi, t, x, 0) >= -1e-9
+            assert intermediate_refinement_check(f, phi, t, x, 0) >= -1e-9
 
 
 def test_corollary_refinement_nonnegative_and_tight_at_scalars():
@@ -235,9 +235,9 @@ def test_corollary_refinement_nonnegative_and_tight_at_scalars():
     phi = ineq.PositiveMap.identity()
     for _ in range(50):
         a = ineq.random_psd(rng, 3)
-        assert ineq.corollary_c1_check(f, phi, a, 0) >= -1e-9
+        assert corollary_c1_check(f, phi, a, 0) >= -1e-9
     # scalar multiple of the identity: everything collapses, slack 0
-    slack = ineq.corollary_c1_check(f, phi, 3.0 * np.eye(2), 0)
+    slack = corollary_c1_check(f, phi, 3.0 * np.eye(2), 0)
     np.testing.assert_allclose(slack, 0.0, atol=1e-12)
 
 
@@ -276,7 +276,7 @@ def test_berezin_number_propositions_hold():
     a = ineq.random_psd(rng, 4)
     f = ineq.ScalarFunction.power(2)
     assert _ber_sup_reference(f, phi, a) >= -1e-9  # P1
-    eq21 = ineq.derivative_proposition_check(f, phi, a)
+    eq21 = derivative_proposition_check(f, phi, a)
     assert eq21 == _ber_sup_reference(f.derivative, phi, a) and eq21 >= -1e-9
     # convex with f(0) = 0 but not superquadratic: P3 alone applies
     assert _ber_sup_reference(ineq.ScalarFunction.power(1.5), phi, a) >= -1e-9
@@ -356,16 +356,16 @@ def _unmet_cases():
             for f in functions if c not in ineq.checks_for(f)]
 
 
-def _public_check(f, check):
+def _per_call_check(f, check):
     phi = ineq.PositiveMap.identity()
     a = np.eye(2)
     calls = {
         "eq1": lambda: ineq.superquadratic_pointwise_check(f, 1.0, 2.0),
         "eq2": lambda: ineq.scalar_popoviciu_check(f, 1.0, 2.0, 3.0),
-        "eq4": lambda: ineq.popoviciu_operator_check(f, phi, a, a, a, 0),
-        "eq5": lambda: ineq.intermediate_refinement_check(f, phi, a, 1.0, 0),
-        "eq16": lambda: ineq.corollary_c1_check(f, phi, a, 0),
-        "eq21": lambda: ineq.derivative_proposition_check(f, phi, a),
+        "eq4": lambda: popoviciu_operator_check(f, phi, a, a, a, 0),
+        "eq5": lambda: intermediate_refinement_check(f, phi, a, 1.0, 0),
+        "eq16": lambda: corollary_c1_check(f, phi, a, 0),
+        "eq21": lambda: derivative_proposition_check(f, phi, a),
     }
     return calls[check]()
 
@@ -380,7 +380,7 @@ def test_unmet_hypotheses_raise_the_cli_message(f, check):
         ineq.run_trials(f, "identity", checks=(check,), trials=3)
     assert str(trials_error.value) == message
     with pytest.raises(ValueError) as check_error:
-        _public_check(f, check)
+        _per_call_check(f, check)
     assert str(check_error.value) == message
 
 
@@ -440,6 +440,33 @@ def test_run_trials_rejects_unknown_check():
 # stacked harness against the per-trial loop
 # ---------------------------------------------------------------------------
 
+# One call per check, the per-trial reference for run_trials: each refuses
+# an f that lacks the check's hypotheses, makes its operator Hermitian and
+# computes f(A), then calls the slack that run_trials calls on whole stacks.
+
+def popoviciu_operator_check(f, phi, A, B, C, mu):
+    ineq._require(f, "eq4")
+    H = ineq._as_hermitian(A)
+    return ineq._popoviciu_slack(f, phi, H, B, C, mu, ineq.functional_calculus(H, f))
+
+
+def intermediate_refinement_check(f, phi, T, x, mu):
+    ineq._require(f, "eq5")
+    H = ineq._as_hermitian(T)
+    return ineq._intermediate_slack(f, phi, H, x, mu, ineq.functional_calculus(H, f))
+
+
+def corollary_c1_check(f, phi, A, mu):
+    ineq._require(f, "eq16")
+    H = ineq._as_hermitian(A)
+    return ineq._c1_slack(f, phi, H, mu, ineq.functional_calculus(H, f))
+
+
+def derivative_proposition_check(f, phi, A):
+    ineq._require(f, "eq21")
+    return ineq._ber_sup_slack(f.derivative, phi, ineq._as_hermitian(A))
+
+
 def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=False):
     """The per-trial harness loop that run_trials replaced, kept as a reference:
     one stream per trial, each check evaluated on that trial's 2-D inputs."""
@@ -480,14 +507,14 @@ def _reference_run_trials(f, map_kind, checks, trials, dims, seed, diag_only=Fal
             if diag_only:
                 B = np.diag(np.diag(B))
                 C = np.diag(np.diag(C))
-            record("eq4", ineq.popoviciu_operator_check(f, phi, A, B, C, mu), t)
+            record("eq4", popoviciu_operator_check(f, phi, A, B, C, mu), t)
         if "eq5" in checks:
             x = float(rng.uniform(0.0, 10.0))
-            record("eq5", ineq.intermediate_refinement_check(f, phi, A, x, mu), t)
+            record("eq5", intermediate_refinement_check(f, phi, A, x, mu), t)
         if "eq16" in checks:
-            record("eq16", ineq.corollary_c1_check(f, phi, A, mu), t)
+            record("eq16", corollary_c1_check(f, phi, A, mu), t)
         if "eq21" in checks:
-            record("eq21", ineq.derivative_proposition_check(f, phi, A), t)
+            record("eq21", derivative_proposition_check(f, phi, A), t)
         if "mapping" in checks:
             mp = ineq.berezin_mapping_check(f, phi, A)
             cond18_total += 1
@@ -636,16 +663,16 @@ def test_stacked_checks_equal_per_matrix_calls():
     mu = np.array([0, 1, 2, 3, 1])
     x = rng.uniform(0.0, 10.0, size=5)
 
-    eq4 = ineq.popoviciu_operator_check(f, phi, A, B, C, mu)
-    eq5 = ineq.intermediate_refinement_check(f, phi, A, x, mu)
-    eq16 = ineq.corollary_c1_check(f, phi, A, mu)
-    eq21 = ineq.derivative_proposition_check(f, phi, A)
+    eq4 = popoviciu_operator_check(f, phi, A, B, C, mu)
+    eq5 = intermediate_refinement_check(f, phi, A, x, mu)
+    eq16 = corollary_c1_check(f, phi, A, mu)
+    eq21 = derivative_proposition_check(f, phi, A)
     mp = ineq.berezin_mapping_check(f, phi, A)
     for i in range(5):
-        assert eq4[i] == ineq.popoviciu_operator_check(f, phi, A[i], B[i], C[i], mu[i])
-        assert eq5[i] == ineq.intermediate_refinement_check(f, phi, A[i], x[i], mu[i])
-        assert eq16[i] == ineq.corollary_c1_check(f, phi, A[i], mu[i])
-        assert eq21[i] == ineq.derivative_proposition_check(f, phi, A[i])
+        assert eq4[i] == popoviciu_operator_check(f, phi, A[i], B[i], C[i], mu[i])
+        assert eq5[i] == intermediate_refinement_check(f, phi, A[i], x[i], mu[i])
+        assert eq16[i] == corollary_c1_check(f, phi, A[i], mu[i])
+        assert eq21[i] == derivative_proposition_check(f, phi, A[i])
         single = ineq.berezin_mapping_check(f, phi, A[i])
         assert mp.condition18_failing[i] == single.condition18_failing
         assert mp.condition18_pass_rate[i] == single.condition18_pass_rate
@@ -657,10 +684,10 @@ def test_single_operator_results_keep_python_scalars():
     f = ineq.ScalarFunction.power(2)
     phi = ineq.PositiveMap.identity()
     a = ineq.random_psd(np.random.default_rng(73), 3)
-    assert type(ineq.corollary_c1_check(f, phi, a, 1)) is float
-    assert type(ineq.intermediate_refinement_check(f, phi, a, 2.0, 0)) is float
-    assert type(ineq.popoviciu_operator_check(f, phi, a, a, a, 2)) is float
-    assert type(ineq.derivative_proposition_check(f, phi, a)) is float
+    assert type(corollary_c1_check(f, phi, a, 1)) is float
+    assert type(intermediate_refinement_check(f, phi, a, 2.0, 0)) is float
+    assert type(popoviciu_operator_check(f, phi, a, a, a, 2)) is float
+    assert type(derivative_proposition_check(f, phi, a)) is float
     assert type(ineq.berezin_at(a, 0)) is float
     mp = ineq.berezin_mapping_check(f, phi, np.diag([1.0, 2.0]))
     assert mp.condition18_failing == ()
