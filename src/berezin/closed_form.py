@@ -194,17 +194,15 @@ def conjugation_partner(alpha, z):
 def boundary_limit(space: SpaceSpec, symbol: sym.SymbolSpec, theta: float) -> float:
     """Numerically extrapolated limit of |transform(r e^{i theta})| as r -> 1.
 
-    Samples r in {1 - 10^-k : k = 2..6} and applies Aitken extrapolation to
-    the tail (exact for geometric convergence).  A non-finite theta raises
+    Samples r in {1 - 10^-k : k = 4, 5, 6} and applies Aitken extrapolation
+    to them (exact for geometric convergence).  A non-finite theta raises
     ``ValueError``.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"boundary angle theta must be finite, got {theta}")
-    radii = 1.0 - 10.0 ** (-np.arange(2.0, 7.0))
-    zs = radii * np.exp(1j * theta)
-    samples = np.abs(transform(space, symbol, zs))
-    v1, v2, v3 = samples[-3:]
+    radii = 1.0 - 10.0 ** (-np.arange(4.0, 7.0))
+    v1, v2, v3 = np.abs(transform(space, symbol, radii * np.exp(1j * theta)))
     denom = v3 - 2.0 * v2 + v1
     if abs(denom) > 1e-300:
         value = v3 - (v3 - v2) ** 2 / denom

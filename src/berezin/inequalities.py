@@ -2,7 +2,7 @@
 
 Setting: operators are d x d Hermitian PSD matrices on l2 with standard-basis
 kernels, so every Berezin transform is a diagonal entry and every positive
-unital map is checkable by direct computation.  The module provides
+unital map is read through the diagonal of its image.  The module provides
 
 * a small catalog of scalar functions (powers, negative constants, custom),
 * functional calculus and positive maps (identity / pinching / compression),
@@ -35,7 +35,6 @@ __all__ = [
     "scalar_popoviciu_check",
     "functional_calculus",
     "abs_op",
-    "berezin_at",
     "berezin_mapping_check",
     "random_psd",
     "random_isometry",
@@ -277,7 +276,7 @@ _MAP_KINDS = ("identity", "pinching", "compression")
 class PositiveMap:
     """A unital positive linear map: identity, pinching, or compression.
 
-    ``apply`` takes one matrix or a (k, d, d) stack.  A compression may carry
+    ``diagonal`` takes one matrix or a (k, d, d) stack.  A compression may carry
     one isometry per matrix of a stack: V is then (k, d, m).  An unknown
     kind, a V given to another kind, and a compression whose V is no
     isometry are refused at construction; as Phi(I) = V*V, every map is then
@@ -319,36 +318,20 @@ class PositiveMap:
         """A |-> V* A V for an isometry V (columns orthonormal), or a stack."""
         return cls("compression", V=V)
 
-    def apply(self, A) -> np.ndarray:
-        A = np.asarray(A, dtype=complex)
-        d = A.shape[-1]
-        if self.kind == "identity":
-            return A.copy()
-        if self.kind == "pinching":
-            return _diagonal_part(A)
+    def diagonal(self, X) -> np.ndarray:
+        """The complex diagonal of Phi(X), which holds every Berezin scalar.
+
+        A pinching keeps X's diagonal, so it reads the identity's, in place.
+        """
+        X = np.asarray(X, dtype=complex)
+        if self.kind != "compression":
+            return _diagonal(X)
+        d = X.shape[-1]
         if self.V.shape[-2] != d:
             raise ValueError(
                 f"dimension mismatch: map expects dimension {self.V.shape[-2]}, got {d}"
             )
-        return _adjoint(self.V) @ A @ self.V
-
-
-def berezin_at(A, mu):
-    """Berezin transform at the standard-basis kernel e_mu: the (mu, mu) entry.
-
-    For a (k, d, d) stack, mu is one index or one per matrix, and the result
-    is the array of the k transforms.
-    """
-    diag = _diagonal(np.asarray(A))
-    d = diag.shape[-1]
-    mu = np.broadcast_to(np.asarray(mu).astype(int), diag.shape[:-1])
-    bad = (mu < 0) | (mu >= d)
-    if np.any(bad):
-        raise IndexError(
-            f"berezin index {mu.flat[int(np.argmax(bad))]} out of range for "
-            f"dimension {d}{_stack_note(bad)}"
-        )
-    return _unstacked(np.take_along_axis(diag, mu[..., None], axis=-1)[..., 0].real)
+        return _diagonal(_adjoint(self.V) @ X @ self.V)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +343,16 @@ def berezin_at(A, mu):
 # stack's slacks equal the per-matrix slacks bit for bit.
 
 def _berezin_of_map(phi: PositiveMap, X, mu):
-    return berezin_at(phi.apply(X), mu)
+    """(Phi(X))~(mu): the mu-th diagonal entry, with one mu per matrix of a stack."""
+    diag = phi.diagonal(X)
+    mu = np.broadcast_to(mu, diag.shape[:-1])
+    return _unstacked(np.take_along_axis(diag, mu[..., None], axis=-1)[..., 0].real)
 
 
 def _f_abs_term(f, phi, X, s, mu):
     """(Phi(f(|X - s I|)))~(mu) -- the recurring correction term."""
     shifted = X - _times_eye(s, X.shape[-1])
-    return berezin_at(phi.apply(functional_calculus(abs_op(shifted), f)), mu)
+    return _berezin_of_map(phi, functional_calculus(abs_op(shifted), f), mu)
 
 
 # The slacks below take A already Hermitian and its f(A): run_trials computes
@@ -383,7 +369,7 @@ def _popoviciu_slack(f, phi, A, B, C, mu, fA):
     if not (A.shape == B.shape == C.shape):
         raise ValueError("dimension mismatch among the three operators")
     fB, fC = functional_calculus(B, f), functional_calculus(C, f)
-    lhs = berezin_at(phi.apply((fA + fB + fC) / 3.0), mu) + f(
+    lhs = _berezin_of_map(phi, (fA + fB + fC) / 3.0, mu) + f(
         _berezin_of_map(phi, (A + B + C) / 3.0, mu)
     )
 
@@ -414,7 +400,7 @@ def _intermediate_slack(f, phi, T, x, mu, fT):
     inequality for every superquadratic catalog function.
     """
     x = np.asarray(x, dtype=float)
-    lhs = berezin_at(phi.apply(fT), mu)
+    lhs = _berezin_of_map(phi, fT, mu)
     linear = f.derivative(x) * _berezin_of_map(phi, T - _times_eye(x, T.shape[-1]), mu)
     return _unstacked(lhs - f(x) - linear - _f_abs_term(f, phi, T, x, mu))
 
@@ -426,7 +412,7 @@ def _c1_slack(f, phi, A, mu, fA):
                  + (Phi(f(|A - (Phi(A))~(mu) I|)))~(mu).
     """
     a = _berezin_of_map(phi, A, mu)
-    rhs = f(a) - berezin_at(phi.apply(fA), mu) + _f_abs_term(f, phi, A, a, mu)
+    rhs = f(a) - _berezin_of_map(phi, fA, mu) + _f_abs_term(f, phi, A, a, mu)
     return _unstacked(-f(0.0) - rhs)
 
 
@@ -474,10 +460,8 @@ def berezin_mapping_check(f: ScalarFunction, phi: PositiveMap, A) -> MappingRepo
 
 
 def _mapping_report(f, phi, A, fA) -> MappingReport:
-    phi_A = phi.apply(A)
-    phi_fA = phi.apply(fA)
-    lhs = np.asarray(f(np.real(_diagonal(phi_A))), dtype=float)
-    rhs = np.real(_diagonal(phi_fA))
+    lhs = np.asarray(f(np.real(phi.diagonal(A))), dtype=float)
+    rhs = np.real(phi.diagonal(fA))
     failing = lhs < rhs - CONDITION18_TOL
     fails = np.any(failing, axis=-1)
     max_dev = np.where(fails, np.inf, np.max(np.abs(lhs - rhs), axis=-1))
@@ -495,8 +479,9 @@ def _ber_sup_slack(g, phi: PositiveMap, A):
     for nonnegative superquadratic f with f(0) = f'(0) = 0 and f' convex,
     for one operator or a (k, d, d) stack.
     """
-    diag = np.real(_diagonal(phi.apply(A)))
-    ber = np.max(np.abs(_diagonal(phi.apply(functional_calculus(A, g)))), axis=-1)
+    diag = np.real(phi.diagonal(A))
+    # abs, not real: a compression's diagonal keeps a roundoff imaginary part
+    ber = np.max(np.abs(phi.diagonal(functional_calculus(A, g))), axis=-1)
     return _unstacked(ber - np.max(g(diag), axis=-1))
 
 

@@ -367,6 +367,15 @@ class TestIneq:
         assert (payload["min_slack"], payload["argmin_trial"]) == (4.596167175370184e-204, 564)
         assert payload["skipped_checks"] == ["mapping"]
 
+    @pytest.mark.parametrize("args, status", [
+        (["--map", "pinching", "--json", "r.json"], 1),  # eq4 fails by design
+        (["--diag-only", "--json", "d.json"], 0),
+    ], ids=["violation", "diag-only"])
+    def test_json_file_holds_the_printed_report(self, tmp_path, args, status):
+        proc = run_cli(["ineq", "--trials", "50", *args], tmp_path)
+        assert proc.returncode == status, proc.stderr
+        assert (tmp_path / args[-1]).read_bytes() == proc.stdout.encode()
+
     def test_report_is_deterministic(self, tmp_path):
         outputs = []
         for name in ("a.json", "b.json"):

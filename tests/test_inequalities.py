@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,31 +122,33 @@ def test_abs_op_of_hermitian():
     np.testing.assert_allclose(ineq.abs_op(a), np.array([[2.0, 0.0], [0.0, 2.0]]), atol=1e-12)
 
 
-def test_positive_maps_apply_and_unitality():
+def test_positive_map_diagonals_and_unitality():
     rng = np.random.default_rng(64)
     a = ineq.random_psd(rng, 4)
 
     def unitality_defect(phi, m=4):
-        return np.max(np.abs(phi.apply(np.eye(4)) - np.eye(m)))
+        return np.max(np.abs(phi.diagonal(np.eye(4)) - np.ones(m)))
 
     ident = ineq.PositiveMap.identity()
-    np.testing.assert_allclose(ident.apply(a), a)
+    np.testing.assert_array_equal(ident.diagonal(a), np.diag(a))
     assert unitality_defect(ident) <= 1e-12
 
     pinch = ineq.PositiveMap.pinching()
-    np.testing.assert_array_equal(pinch.apply(a), np.diag(np.diag(a)))
+    np.testing.assert_array_equal(pinch.diagonal(a), np.diag(a))
     assert unitality_defect(pinch) <= 1e-12
 
     v = ineq.random_isometry(rng, 4, 2)
     comp = ineq.PositiveMap.compression(v)
-    np.testing.assert_allclose(comp.apply(a), v.conj().T @ a @ v, atol=1e-13)
+    np.testing.assert_allclose(comp.diagonal(a), np.diag(v.conj().T @ a @ v), atol=1e-13)
     assert unitality_defect(comp, 2) <= 1e-12
+    with pytest.raises(ValueError, match="^dimension mismatch: map expects dimension 4, got 3$"):
+        comp.diagonal(np.eye(3))
 
 
 def test_singleton_pinching_extracts_diagonal():
     a = np.array([[1.0, 5.0], [5.0, 2.0]])
     pinch = ineq.PositiveMap.pinching()
-    np.testing.assert_allclose(pinch.apply(a), np.diag([1.0, 2.0]), atol=1e-15)
+    np.testing.assert_array_equal(pinch.diagonal(a), [1.0, 2.0])
 
 
 def test_compression_requires_isometry():
@@ -169,13 +173,6 @@ def test_positive_map_refuses_an_unknown_kind_or_a_stray_isometry(kind, V, messa
     with pytest.raises(ValueError) as err:
         ineq.PositiveMap(kind, V=V)
     assert str(err.value) == message
-
-
-def test_berezin_at_bounds():
-    a = np.diag([1.0, 2.0])
-    np.testing.assert_allclose(ineq.berezin_at(a, 1), 2.0)
-    with pytest.raises(IndexError):
-        ineq.berezin_at(a, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +263,8 @@ def _ber_sup_reference(g, phi, a):
     """ber(Phi(g(A))) - sup_mu g((Phi(A))~(mu)) for one operator: the slack of
     P1 (nonnegative superquadratic f) and of P3 (convex f with f(0) = 0) at
     g = f, and of the derivative form (eq21) at g = f'."""
-    ber = np.max(np.abs(np.diag(phi.apply(ineq.functional_calculus(a, g)))))
-    return ber - np.max(g(np.real(np.diag(phi.apply(a)))))
+    ber = np.max(np.abs(phi.diagonal(ineq.functional_calculus(a, g))))
+    return ber - np.max(g(np.real(phi.diagonal(a))))
 
 
 def test_berezin_number_propositions_hold():
@@ -545,6 +542,25 @@ def test_run_trials_equals_per_trial_loop(spec, map_kind):
                 assert got == want, (checks, dims, diag_only)
 
 
+@pytest.mark.parametrize("spec", ["power:2", "power:3", "power:2.5", "neg-const"])
+def test_pinching_reports_what_the_identity_reports(spec):
+    # Every check reads Phi(X) through its diagonal, which the pinching keeps,
+    # so the two maps differ only in the report's name.
+    f = ineq.parse_function(spec)
+    for checks in [(c,) for c in ineq.checks_for(f)] + [ineq.checks_for(f)]:
+        for dims in _DIM_SETS:
+            for diag_only in (False, True):
+                pinched, plain = (ineq.run_trials(f, kind, checks, 24, dims, 3, diag_only)
+                                  for kind in ("pinching", "identity"))
+                assert pinched.map == "pinching"
+                assert dataclasses.replace(pinched, map="identity") == plain, (
+                    checks, dims, diag_only)
+    rng = np.random.default_rng(75)
+    S = rng.standard_normal((6, 5, 5)) + 1j * rng.standard_normal((6, 5, 5))
+    assert (ineq.PositiveMap.pinching().diagonal(S).tobytes()
+            == ineq.PositiveMap.identity().diagonal(S).tobytes())
+
+
 def test_run_trials_pins_roundoff_minima_at_full_size():
     # For f(t) = t^2 the slacks of eq16 and eq5 are pure roundoff, so these
     # minima and argmins move with any change to the floating-point
@@ -645,13 +661,12 @@ def test_stacked_operators_equal_per_matrix_bit_for_bit(d):
     single = [ineq.random_isometry(np.random.default_rng(s), d, max(1, d // 2)) for s in seeds]
     assert np.array_equal(V, np.stack(single))
     phi = ineq.PositiveMap.compression(V)
-    mapped = phi.apply(psd)
-    assert np.array_equal(
-        mapped, np.stack([ineq.PositiveMap.compression(v).apply(a) for v, a in zip(V, psd)])
-    )
+    singles = [ineq.PositiveMap.compression(v) for v in V]
+    assert np.array_equal(phi.diagonal(psd),
+                          np.stack([one.diagonal(a) for one, a in zip(singles, psd)]))
     mu = np.arange(len(psd)) % V.shape[-1]
-    assert np.array_equal(ineq.berezin_at(mapped, mu),
-                          [ineq.berezin_at(m, i) for m, i in zip(mapped, mu)])
+    assert np.array_equal(ineq._berezin_of_map(phi, psd, mu),
+                          [ineq._berezin_of_map(one, a, i) for one, a, i in zip(singles, psd, mu)])
 
 
 def test_stacked_checks_equal_per_matrix_calls():
@@ -688,7 +703,6 @@ def test_single_operator_results_keep_python_scalars():
     assert type(intermediate_refinement_check(f, phi, a, 2.0, 0)) is float
     assert type(popoviciu_operator_check(f, phi, a, a, a, 2)) is float
     assert type(derivative_proposition_check(f, phi, a)) is float
-    assert type(ineq.berezin_at(a, 0)) is float
     mp = ineq.berezin_mapping_check(f, phi, np.diag([1.0, 2.0]))
     assert mp.condition18_failing == ()
     assert type(mp.identity_checked) is bool and type(mp.identity_max_dev) is float
@@ -701,8 +715,6 @@ def test_non_psd_stack_names_first_failing_matrix():
     skew = np.stack([np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
     with pytest.raises(ValueError, match=r"Hermitian.*\(matrix 2 of the stack\)"):
         ineq.abs_op(skew)
-    with pytest.raises(IndexError, match=r"\(matrix 1 of the stack\)"):
-        ineq.berezin_at(stack, np.array([0, 2, 1]))
 
 
 def test_power_rejects_non_finite_exponent():
