@@ -84,11 +84,12 @@ def cmd_range(args) -> int:
     csv_path = args.csv or f"{stem}.csv"
     json_path = args.json or f"{stem}.json"
     svg_path = args.svg or f"{stem}.svg"
+    ber = sample.berezin_number()
     payload = {
         "space": args.space,
         "symbol": symbol.label,
         "grid": _grid_payload(args),
-        "berezin_number": sample.berezin_number(),
+        "berezin_number": ber,
         "report": report.to_json_dict(),
     }
     output.write_csv(csv_path, sample)
@@ -96,7 +97,7 @@ def cmd_range(args) -> int:
     output.write_svg(svg_path, sample.points(), title=f"{args.space} {symbol.label}")
     print(
         f"{args.space} {symbol.label}: verdict {report.verdict} "
-        f"(shape {report.shape.tag}, ber {sample.berezin_number():.6f})"
+        f"(shape {report.shape.tag}, ber {ber:.6f})"
     )
     print(f"wrote {csv_path}, {json_path}, {svg_path}")
     return 0

@@ -57,8 +57,9 @@ _GAP_FACTOR = 10.0
 # holds besides.
 _CHUNK_BYTES = 2**21
 # Passes over the whole cloud (the hull's two prefilters, the segment test and
-# projections, the quadtree leaves) run on kernels.row_blocks of this many
-# points, so their temporaries are a few 128 KiB float64 arrays at a time.
+# projections, the search's Morton codes and leaves) run on kernels.row_blocks
+# of this many points, so their temporaries are a few 128 KiB float64 arrays
+# at a time.
 _CLOUD_BLOCK = 2**14
 # Relative slack on every pruning bound: far above the rounding of the few
 # operations that compute one, so no candidate that can win is dropped.
@@ -238,19 +239,22 @@ def _diameter(hull: np.ndarray):
     """Exact diameter of a point set and the realizing pair, from its hull.
 
     The pair is the first maximal one in row-major order of the matrix of
-    ``dx*dx + dy*dy`` over all vertex pairs, found without building it.  The
-    antipodal pairs of rotating calipers give a squared distance ``floor``
-    that some pair attains.  Blocks of consecutive vertices, halved level by
-    level, then prune pairs of blocks whose bounding boxes are no farther
-    apart than ``floor``: box corners bound every squared distance of their
-    points, since rounding is monotone, so no maximal pair is dropped even
-    when the input is not exactly convex.  The surviving pairs are scanned in
-    chunks of at most ``_DIAM_PAIRS`` pairs of blocks.
+    ``dx*dx + dy*dy`` over all vertex pairs, found without building it.  A
+    double sweep (the vertex farthest from ``hull[0]``, then the largest
+    distance from it) gives a squared distance ``floor`` that some pair
+    attains.  Blocks of consecutive vertices, halved level by level, then
+    prune pairs of blocks whose bounding boxes are no farther apart than
+    ``floor``: box corners bound every squared distance of their points,
+    since rounding is monotone, so no maximal pair is dropped even when the
+    input is not exactly convex.  The surviving pairs are scanned in chunks
+    of at most ``_DIAM_PAIRS`` pairs of blocks.
     """
     n = len(hull)
     if n == 1:
         return 0.0, (hull[0], hull[0])
-    floor = _antipodal_floor(hull)
+    diff = hull - hull[0]
+    diff = hull - hull[np.argmax(np.einsum("ik,ik->i", diff, diff))]
+    floor = float(np.einsum("ik,ik->i", diff, diff).max())
     leaf = _DIAM_LEAF
     boxes = []  # per level: (x0, x1, y0, y1) of blocks of leaf * 2**level vertices
     while not boxes or len(boxes[-1][0]) > 1:
@@ -291,25 +295,6 @@ def _diameter(hull: np.ndarray):
         for s in range(0, len(a), _DIAM_PAIRS):
             stack.append((level, a[s : s + _DIAM_PAIRS], b[s : s + _DIAM_PAIRS]))
     return float(np.sqrt(best)), (hull[key // n], hull[key % n])
-
-
-def _antipodal_floor(hull: np.ndarray) -> float:
-    """Largest ``dx*dx + dy*dy`` over the antipodal vertex pairs of the hull.
-
-    Each edge pairs its two endpoints with the vertex where the edge
-    directions pass the edge's own plus pi (and that vertex's neighbours).
-    For a convex polygon these pairs hold the diameter; for any input the
-    result is the squared distance of an actual pair, so at most the maximum.
-    """
-    n = len(hull)
-    edges = np.roll(hull, -1, axis=0) - hull
-    # Monotone even where rounding makes the polygon not quite convex.
-    angle = np.maximum.accumulate(np.unwrap(np.arctan2(edges[:, 1], edges[:, 0])))
-    far = np.searchsorted(np.concatenate([angle, angle + 2 * np.pi]), angle + np.pi)
-    i = (np.arange(n)[:, None] + [0, 1, 0, 1, 0, 1]) % n
-    j = (far[:, None] + [-1, -1, 0, 0, 1, 1]) % n
-    diff = hull[i.ravel()] - hull[j.ravel()]
-    return float(np.einsum("ik,ik->i", diff, diff).max())
 
 
 def _segment_distances(pts: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> np.ndarray:
@@ -446,10 +431,10 @@ def _inside_every_edge(hull: np.ndarray, edges: np.ndarray, points: np.ndarray) 
     return inside
 
 
-# Nearest-neighbour search.  Points are cut into quadtree leaves of at most
-# _NN_LEAF points; queries descend a quadtree of their own, one level per
-# pass, each tile carrying the leaves that may hold a nearest point of one of
-# its queries.
+# Nearest-neighbour search.  Points in Morton order are cut into leaves of
+# _NN_LEAF consecutive points; queries descend a quadtree of their own, one
+# level per pass, each tile carrying the leaves that may hold a nearest point
+# of one of its queries.
 _NN_LEAF = 16
 _NN_BITS = 16  # Morton grid of 2**16 cells per axis: 32-bit codes
 # A vector pass holds at most _CHUNK_BYTES of pair arrays, 16 float64 a pair.
@@ -489,52 +474,28 @@ def _morton(xy: np.ndarray) -> np.ndarray:
 
 
 def _leaves(points: np.ndarray):
-    """Points in Morton order, cut into quadtree leaves of at most _NN_LEAF points.
+    """Points in Morton order, cut into leaves of _NN_LEAF consecutive points.
 
-    A leaf is the largest grid cell holding at most _NN_LEAF points; points
-    sharing a finest cell beyond that are cut every _NN_LEAF.  Returns x and y
-    in that order, each followed by _NN_LEAF infinities so that the window of
-    _NN_LEAF slots from any leaf start stays in bounds (slots past the leaf
-    hold other points or infinity, neither of which changes a minimum), the
-    leaf starts, and per leaf its box (x0, x1, y0, y1) and first point (x, y).
+    Returns x and y as (leaves, _NN_LEAF) arrays, the last leaf padded with
+    copies of the last point (a copy changes no minimum), and per leaf its box
+    (x0, x1, y0, y1) and first point (x, y).
 
-    Besides ``points``, at most the codes (4 bytes a point), the order (8)
-    and x and y (8 each) are held at once: the codes, the cuts and the sorted
-    coordinates are computed on blocks of ``_CLOUD_BLOCK`` points.
+    Besides ``points``, at most the order (8 bytes a point) and x and y (8
+    each) are held at once, as the codes (4) go once sorted.  The codes and
+    the sorted coordinates are computed on blocks of ``_CLOUD_BLOCK`` points.
     """
     n = len(points)
-    code = _morton(points)
-    order = np.argsort(code)
-    code = code[order]
-    # Two neighbours in Morton order are cut apart when the smallest cell
-    # holding both has more than _NN_LEAF points; that cell is the run of
-    # codes from ``low`` to ``low | below``, ``below`` the bits under ``shift``.
-    starts = [np.zeros(1, dtype=np.int64)]
-    for a in range(1, n, _CLOUD_BLOCK):
-        b = min(a + _CLOUD_BLOCK, n)
-        cur = code[a:b]
-        differ = cur ^ code[a - 1 : b - 1]
-        shift = (np.frexp(differ)[1] + 1) // 2 * 2
-        below = ((np.int64(1) << shift) - 1).astype(np.uint32)
-        low = cur & ~below
-        first = np.searchsorted(code, low)
-        size = np.searchsorted(code, low | below, side="right") - first
-        rank = np.arange(a, b) - first
-        cut = (size > _NN_LEAF) & ((differ > 0) | (rank % _NN_LEAF == 0))
-        starts.append(np.flatnonzero(cut) + a)
-    starts = np.concatenate(starts)
-    del code
-    xs = np.full(n + _NN_LEAF, np.inf)
-    ys = np.full(n + _NN_LEAF, np.inf)
-    x, y = xs[:n], ys[:n]
+    order = np.argsort(_morton(points), kind="stable")
+    xs, ys = np.empty((2, -(-n // _NN_LEAF), _NN_LEAF))
+    x, y = xs.reshape(-1), ys.reshape(-1)
     for b in row_blocks(n, _CLOUD_BLOCK):
         rows = points[order[b]]
         x[b], y[b] = rows[:, 0], rows[:, 1]
     del order
-    columns = (np.minimum.reduceat(x, starts), np.maximum.reduceat(x, starts),
-               np.minimum.reduceat(y, starts), np.maximum.reduceat(y, starts),
-               x[starts], y[starts])
-    return xs, ys, starts, columns
+    x[n:], y[n:] = x[n - 1], y[n - 1]
+    columns = (xs.min(axis=1), xs.max(axis=1), ys.min(axis=1), ys.max(axis=1),
+               xs[:, 0], ys[:, 0])
+    return xs, ys, columns
 
 
 def _rows(ptr: np.ndarray, owners: np.ndarray):
@@ -583,17 +544,18 @@ def _prune(columns, cx, cy, r, leaf, counts, offsets) -> np.ndarray:
     return ex <= np.repeat(bound, counts)
 
 
-def _leaf_minimum(xs, ys, starts, qx, qy, cand, ptr, owners) -> np.ndarray:
+def _leaf_minimum(xs, ys, qx, qy, cand, ptr, owners) -> np.ndarray:
     """Distance from each query (qx[i], qy[i]) to the nearest point of the
     leaves ``cand[ptr[owners[i]]:ptr[owners[i] + 1]]``."""
     out = np.empty(len(owners))
-    slots = np.arange(_NN_LEAF)
     cuts = _cuts(ptr[owners + 1] - ptr[owners], max(1, _NN_PAIRS // _NN_LEAF))
     for a, z in zip(cuts[:-1], cuts[1:]):
         idx, counts, offsets = _rows(ptr, owners[a:z])
-        window = starts.take(cand[idx])[:, None] + slots
-        dx = xs.take(window) - np.repeat(qx[a:z], counts)[:, None]
-        dy = ys.take(window) - np.repeat(qy[a:z], counts)[:, None]
+        leaf = cand[idx]
+        dx = xs.take(leaf, axis=0)
+        dx -= np.repeat(qx[a:z], counts)[:, None]
+        dy = ys.take(leaf, axis=0)
+        dy -= np.repeat(qy[a:z], counts)[:, None]
         dx *= dx
         dy *= dy
         dx += dy
@@ -614,25 +576,26 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
     Cell sizes come from the inputs' bounding boxes.  Memory, besides the
     inputs and the result: the leaves (:func:`_leaves`: x and y, 16 bytes a
-    point, and 56 bytes a leaf), the queries' Morton codes and order (12
-    bytes a query), and one run of ``_NN_RUN`` queries at a time, which
-    descends on its own, breadth first: a level's tiles are split together.
+    point padded to whole leaves, and 32 bytes a leaf for the boxes), the
+    queries' Morton codes and order (12 bytes a query), and one run of
+    ``_NN_RUN`` queries at a time, which descends on its own, breadth first:
+    a level's tiles are split together.
     Within a run, each vector pass handles at most ``_NN_PAIRS`` (tile, leaf)
     pairs, about ``_CHUNK_BYTES``, unless a single tile needs more (near the
     root, a tile carries every leaf).  On the 50,945 points and 31,086
     queries of a Bergman Blaschke 0.5 coverage test, tracemalloc peaks at
-    4.3 MiB.
+    4.1 MiB.
     """
     out = np.empty(len(queries))
     if len(queries) == 0:
         return out
-    xs, ys, starts, columns = _leaves(points)
+    xs, ys, columns = _leaves(points)
     # Enough levels that the finest tiles of evenly spread queries hold one each.
     depth = min(int(np.ceil(np.log2(max(len(queries), 2)))) + 1, _NN_BITS)
     morton = _morton(queries)
     morton >>= 2 * (_NN_BITS - depth)
     order = np.argsort(morton)
-    leaves = np.arange(len(starts))
+    leaves = np.arange(len(xs))
     for s in range(0, len(queries), _NN_RUN):
         # The run's live queries in Morton order (x, y, code, index), the first
         # query of each tile, and each tile's candidate leaves (CSR).
@@ -677,8 +640,7 @@ def _nearest_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
             if done.any():
                 finish = np.repeat(done, sizes)
                 owner = np.repeat(np.arange(len(head)), sizes)[finish]
-                out[qidx[finish]] = _leaf_minimum(xs, ys, starts, qx[finish], qy[finish],
-                                                  cand, ptr, owner)
+                out[qidx[finish]] = _leaf_minimum(xs, ys, qx[finish], qy[finish], cand, ptr, owner)
                 live = ~finish
                 qx, qy, code, qidx = qx[live], qy[live], code[live], qidx[live]
                 cand = cand[np.repeat(~done, kept)]

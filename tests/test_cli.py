@@ -462,6 +462,23 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, command):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", [
+    ["range", "--space", "hardy", "--symbol", "elliptic", "--alpha=0.5"],
+    ["sweep", "--space", "hardy", "--symbol", "elliptic", "--alphas=0.5"],
+])
+@pytest.mark.parametrize("param, reason", [
+    (["--r-max", "nan"], "r_max must lie in (0, 1)"),
+    (["--r-max", "1"], "r_max must lie in (0, 1)"),
+    (["--r-steps", "1"], "r_steps must be >= 2, got 1"),
+    (["--theta-steps", "0"], "theta_steps must be >= 1, got 0"),
+])
+def test_invalid_grid_parameter_exits_2(tmp_path, command, param, reason):
+    proc = run_cli([*command, *param], tmp_path)
+    assert proc.returncode == 2
+    assert reason in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_memory_error_of_a_command_exits_2(monkeypatch, capsys, tmp_path):
     # A refused allocation inside a command becomes one error line, not a traceback.
     def refuse(*args):

@@ -618,10 +618,12 @@ def test_nearest_distances_on_a_berezin_range_coverage_grid(space, symbol, alpha
                                   reference_nearest(pts, queries))
 
 
-@pytest.mark.parametrize("pairs", [1, 100, 2000])
-def test_nearest_distances_in_small_passes(monkeypatch, pairs):
-    # Tiny limits split every pass, which full-size inputs rarely need.
+@pytest.mark.parametrize("pairs, leaf", [(1, 16), (100, 16), (2000, 16), (100, 1), (100, 3)])
+def test_nearest_distances_in_small_passes(monkeypatch, pairs, leaf):
+    # Tiny limits split every pass, which full-size inputs rarely need.  The
+    # 3,000 points leave a last leaf of 8 at 16 points a leaf, padded to 16.
     monkeypatch.setattr(geometry, "_NN_PAIRS", pairs)
+    monkeypatch.setattr(geometry, "_NN_LEAF", leaf)
     rng = np.random.default_rng(11)
     pts = np.repeat(_cloud("annulus", 1500, rng), 2, axis=0)
     queries = rng.uniform(-1.2, 1.2, size=(1000, 2))
@@ -642,7 +644,7 @@ def test_nearest_distances_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 5.25 * 2**20  # measured: 4.3 MiB
+    assert peak < 5.25 * 2**20  # measured: 4.1 MiB
 
 
 @pytest.mark.parametrize("run", [1, 7, 100])
