@@ -33,9 +33,16 @@ __all__ = [
 # grow with the number of points.  A direct-route chunk holds its kernel block
 # and the block's product with the operator, each of this size.  A polar-route
 # chunk holds rings whose coefficients, padded to a multiple of P, take an
-# eighth of it (512 KiB), as does each row block of its diagonal table.  Arrays
-# that small stay in cache, and the heap they leave behind is small too.
+# eighth of it (512 KiB), as does each row block of its diagonal table.
+# composition_matrix stores its blocks of diagonals in row pieces of a
+# sixty-fourth of it (64 KiB).  Arrays that small stay in cache, and the heap
+# they leave behind is small too.
 _CHUNK_BYTES = 2**22
+
+# composition_matrix computes its anti-diagonals into a ring and stores this
+# many at once: row j of B consecutive diagonals is B consecutive entries of
+# matrix row j.  Its ring of B + 2 diagonals takes 544 KiB at N = 1024.
+_BLOCK_DIAGONALS = 32
 
 # berezin_grid keeps the first M(w) rows at each point w: the smallest
 # multiple of _ROW_STEP (at most N) whose dropped kernel tail moves the value
@@ -46,8 +53,9 @@ _TAIL_BUDGET = 2.0**-60
 # composition_matrix sets every real or imaginary part of its matrix below
 # this, the square root of the smallest normal double, to zero, so that
 # berezin_grid's GEMMs meet no subnormal operands from the matrix.  The
-# recurrence that builds the matrix runs through subnormals unflushed: one
-# pass at the end costs less than a flush per diagonal.
+# recurrence that builds the matrix runs through subnormals unflushed: the
+# flush applies to the copy of each block of diagonals on its way into the
+# matrix, never to the diagonals the recurrence reads.
 _FLUSH_BELOW = np.sqrt(np.finfo(float).tiny)
 
 
@@ -98,10 +106,9 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
 
     with C[0, 0] = 1, C[j, 0] = 0 for j >= 1 and zero outside the matrix.
     The matrix is filled one anti-diagonal j + k = t at a time, t = 1..2N-2:
-    each comes from the two before it as three shifted slices and is written
-    into the matrix by one strided slice.  An entry takes the same operations
-    whatever N is, so every build is the leading block of every larger one,
-    byte for byte.
+    each comes from the two before it as three shifted slices.  An entry
+    takes the same operations whatever N is, so every build is the leading
+    block of every larger one, byte for byte.
 
     A rounding error e made at (j0, k0) travels into column k as e times the
     coefficients of phi^(k-k0) / (c z + d), which are at most 1 / (|d| - |c|)
@@ -111,43 +118,82 @@ def composition_matrix(space: SpaceSpec, symbol: sym.SymbolSpec, N: int) -> Oper
     bound; in practice it is far smaller: against a long double build at
     N = 513 it is at most 1.5e-14 (Blaschke 0.99 on Bergman).
 
-    The cost is O(N^2) arithmetic and no BLAS.  The working set is the N x N
-    matrix and three diagonals of N + 1 entries; the Bergman reweighting and
-    the one flush of parts below ``_FLUSH_BELOW`` (entries move by about
-    1e-154 at most) go in row bands of an eighth of ``_CHUNK_BYTES``.  At
-    N = 1024 the build peaks at about 17 MiB.
+    The cost is O(N^2) arithmetic and no BLAS.  The diagonals are computed
+    into a ring of B + 2 rows of N + 1 entries, B = ``_BLOCK_DIAGONALS`` or
+    (N - 1) / 2 if that is less.  Row j of B consecutive diagonals is B
+    consecutive entries of matrix row j, so the B diagonals are stored
+    together, in row pieces of ``_CHUNK_BYTES`` / (1024 B) rows: a copy of
+    each piece gets the Bergman reweighting and the flush of parts below
+    ``_FLUSH_BELOW`` (entries move by about 1e-154 at most), and goes into
+    the matrix once.  A piece whose rows run past column N - 1 stores only
+    its entries inside the matrix.  At N = 1024 the build peaks at about
+    16.9 MiB, of which the matrix takes 16.
     """
     if space.kind not in ("hardy", "bergman"):
         raise ValueError("composition matrices are built on hardy/bergman bases")
     N = as_size(N, "truncation N", 1)
     a, b, c, d = sym.mobius_coefficients(symbol)
-    a, b, c = np.array([a, b, c]) / d  # numpy scalars: cheaper per ufunc call
+    # 0-d arrays: the cheapest operands per ufunc call
+    a, b, c = (np.array(v) for v in np.array([a, b, c]) / d)
     cols = np.zeros((N, N), dtype=complex)
     cols[0, 0] = 1.0
-    flat = cols.reshape(-1)
-    # diag[j + 1] = C[j, t - j] on three anti-diagonals t; diag[0] stays 0
-    # for C[-1, .], and entries not yet written are the zero C[j, k < 0]
-    older, last, diag = (np.zeros(N + 1, dtype=complex) for _ in range(3))
-    last[1] = 1.0
+    # by_diagonal[j, t] = C[j, t - j] wherever 0 <= t - j < N
+    item = cols.itemsize
+    by_diagonal = as_strided(cols, (N, 2 * N - 1), ((N - 1) * item, item))
+    B = max(1, min(_BLOCK_DIAGONALS, (N - 1) // 2))
+    step = max(1, _CHUNK_BYTES // (1024 * B))
+    # ring[i + 2, j + 1] = C[j, t - j] for diagonal t = t0 + i of the block
+    # starting at t0, rows 0 and 1 the two diagonals before it; ring[:, 0]
+    # stays 0 for C[-1, .], and entries not yet written are the zero C[j, k <= 0]
+    ring = np.zeros((B + 2, N + 1), dtype=complex)
+    ring[1, 1] = 1.0
+    diagonals = list(ring)
     term = np.empty(N, dtype=complex)
-    for t in range(1, 2 * N - 1):
-        lo, hi = max(0, t - N + 1), min(t - 1, N - 1)  # rows j with 1 <= k < N
-        new, part = diag[lo + 1:hi + 2], term[:hi + 1 - lo]
-        np.multiply(older[lo:hi + 1], a, out=new)
-        np.multiply(last[lo + 1:hi + 2], b, out=part)
-        new += part
-        np.multiply(last[lo:hi + 1], c, out=part)
-        new -= part
-        # C[j, t - j] sits at flat index j (N - 1) + t
-        flat[lo * (N - 1) + t:hi * (N - 1) + t + 1:N - 1] = new
-        older, last, diag = last, diag, older
-    w, _ = kernel_scales(space, 0.0, N)
-    for rows in row_blocks(N, max(1, _CHUNK_BYTES // (128 * N))):
-        band = cols[rows]
-        if space.kind == "bergman":
-            band *= w[None, :] / w[rows, None]
-        for part in (band.real, band.imag):
-            part[np.abs(part) < _FLUSH_BELOW] = 0.0
+    # beyond[i, r] = i - r: row r of a piece is past column N - 1 on diagonal
+    # t0 + i when i - r > N - 1 - t0 + r0
+    beyond = np.subtract.outer(np.arange(B), np.arange(step))
+    if space.kind == "bergman":
+        w, _ = kernel_scales(space, 0.0, N)
+        # rw[N - 1 + B - k] = w[k], and 1 for k outside 0..N-1
+        rw = np.concatenate([np.ones(B), w[::-1], np.ones(B + step)])
+        windows = sliding_window_view(rw, step)
+    for t0 in range(1, 2 * N - 1, B):
+        nb = min(B, 2 * N - 1 - t0)
+        for i in range(nb):
+            t = t0 + i
+            lo, hi = max(0, t - N + 1), min(t - 1, N - 1)  # rows j with 1 <= k < N
+            older, last, new = diagonals[i], diagonals[i + 1], diagonals[i + 2][lo + 1:hi + 2]
+            part = term[:hi + 1 - lo]
+            np.multiply(older[lo:hi + 1], a, out=new)
+            np.multiply(last[lo + 1:hi + 2], b, out=part)
+            new += part
+            np.multiply(last[lo:hi + 1], c, out=part)
+            new -= part
+        # Rows first..edge-1 run past column N - 1 on the block's last
+        # diagonals; rows edge..stop-1 do not, and where they run before
+        # column 1 the ring holds the zero C[j, k <= 0], written only to
+        # C[j, 0] = 0 and to entries of later diagonals.
+        t1 = t0 + nb - 1
+        first, edge, stop = max(0, t0 - N + 1), max(0, t1 - N + 1), min(t1, N)
+        pieces = [(r0, min(r0 + step, edge)) for r0 in range(first, edge, step)]
+        pieces += [(r0, min(r0 + step, stop)) for r0 in range(edge, stop, step)]
+        for r0, r1 in pieces:
+            block = ring[2:2 + nb, r0 + 1:r1 + 1]
+            if space.kind == "bergman":
+                at = N - 1 + B - t0 + r0
+                ratio = windows[at - nb + 1:at + 1, :r1 - r0][::-1] / w[r0:r1]
+                block = block * ratio  # a copy: the ring feeds the recurrence
+            else:
+                block = block.copy()
+            parts = block.view(float)
+            np.putmask(parts, np.abs(parts) < _FLUSH_BELOW, 0.0)
+            target = by_diagonal[r0:r1, t0:t0 + nb]
+            if r0 < edge:
+                inside = beyond[:nb, :r1 - r0].T <= N - 1 - t0 + r0
+                np.copyto(target, block.T, where=inside)
+            else:
+                target[...] = block.T
+        ring[:2] = ring[nb:nb + 2]
     return OperatorMatrix(cols, space)
 
 
@@ -349,9 +395,17 @@ def model_berezin_range(n: int, grid: PolarGrid) -> RangeSample:
     """Sample <M k̂_lambda, k̂_lambda> for the model shift over a polar grid.
 
     The sampled sup modulus approaches (n-1)/n from below as r_max -> 1.
+    A grid with ``PolarGrid.regular``'s angles goes to the polar route with
+    its radii: ``berezin_grid`` would build, check and recognise the same
+    mesh first, and would then read back those radii bit for bit.  Any other
+    grid goes through ``berezin_grid``.
     """
     op = model_operator_matrix(n)
-    values = berezin_grid(op, op.space, grid.mesh())
+    P = grid.theta_values.size
+    if np.array_equal(grid.theta_values, np.linspace(0.0, TWO_PI, P, endpoint=False)):
+        values = _polar_route(op, op.space, grid.r_values, P)
+    else:
+        values = berezin_grid(op, op.space, grid.mesh())
     return RangeSample(op.space, None, grid, values)
 
 
@@ -361,9 +415,16 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
     For each direction theta_m = 2*pi*m/M the top eigenvector u of H_m, the
     Hermitian part of exp(-i theta_m) A, is computed and <A u, u> recorded;
     the convex hull of the returned (M, 2) points approximates W(A) from
-    inside.  For even M, direction m + M/2 has Hermitian part -H_m, whose
-    top eigenvector is the bottom one of H_m: one ``eigh`` serves both
-    directions.  An odd M takes one ``eigh`` per direction.
+    inside (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).  For even M,
+    direction m + M/2 has Hermitian part -H_m, whose top eigenvector is the
+    bottom one of H_m: one ``eigh`` serves both directions.  An odd M takes
+    one ``eigh`` per direction.
+
+    A matrix with no nonzero imaginary part has W(A) = conj W(A): H at
+    -theta_m is the conjugate of H_m, so the point of direction -m mod M is
+    written as the exact conjugate of the point of direction m, and its
+    ``eigh`` is skipped.  With the pairing above, a real A takes M//4 + 1
+    ``eigh`` calls for even M and (M + 1)//2 for odd M.
 
     ``op`` is an :class:`OperatorMatrix` or a non-empty, square and finite
     matrix; any other input raises ``ValueError``.
@@ -371,8 +432,12 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
     A = op.entries if isinstance(op, OperatorMatrix) else _square_matrix(op)
     M = as_size(directions, "directions", 3)
     half = M // 2 if M % 2 == 0 else M
+    mirror = not A.imag.any()
     points = np.empty(M, dtype=complex)
+    done = np.zeros(M, dtype=bool)
     for m in range(half):
+        if done[m]:
+            continue
         rotated = np.exp(-2j * np.pi * m / M) * A
         herm = 0.5 * (rotated + rotated.conj().T)
         try:
@@ -381,9 +446,15 @@ def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:
             raise RuntimeError(
                 f"eigensolver failed to converge on direction {m} of {M}: {exc}"
             ) from exc
-        u = vecs[:, -1]
-        points[m] = np.vdot(u, A @ u)
+        found = [(m, vecs[:, -1])]
         if half < M:
-            u = vecs[:, 0]
-            points[m + half] = np.vdot(u, A @ u)
+            found.append((m + half, vecs[:, 0]))
+        for k, u in found:
+            if done[k]:
+                continue
+            points[k] = np.vdot(u, A @ u)
+            done[k] = True
+            if mirror and not done[-k % M]:
+                points[-k % M] = points[k].conjugate()
+                done[-k % M] = True
     return np.column_stack([points.real, points.imag])

@@ -103,6 +103,28 @@ def test_model_range_matches_closed_form():
         assert sample.symbol is None
 
 
+def test_model_range_skips_the_mesh_only_on_regular_angles(monkeypatch):
+    # A grid with PolarGrid.regular's angles goes to the polar route with its
+    # radii, bit for bit what berezin_grid gives on its mesh; other angles go
+    # through berezin_grid.
+    regular = cf.PolarGrid.regular(40, 24, 0.99)
+    turned = cf.PolarGrid(regular.r_values, regular.theta_values + 0.1)
+    grids = (regular, turned)
+    expected = [oracle.berezin_grid(op, op.space, grid.mesh()).tobytes()
+                for op in map(oracle.model_operator_matrix, (1, 3, 8)) for grid in grids]
+    meshes = []
+    grid_fn = oracle.berezin_grid
+
+    def spy(op, space, ws):
+        meshes.append(np.shape(ws))
+        return grid_fn(op, space, ws)
+
+    monkeypatch.setattr(oracle, "berezin_grid", spy)
+    got = [oracle.model_berezin_range(n, grid).values.tobytes() for n in (1, 3, 8) for grid in grids]
+    assert got == expected
+    assert meshes == [turned.mesh().shape] * 3
+
+
 def test_model_berezin_number_approaches_limit():
     grid = cf.PolarGrid.regular(200, 32, 0.9999)
     for n in (2, 5, 8):
@@ -156,6 +178,81 @@ def test_numerical_range_points_attain_the_support_function(A, M):
         herm = 0.5 * (rot * A + (rot * A).conj().T)
         top = np.linalg.eigvalsh(herm)[-1]
         assert abs((rot * p[m]).real - top) <= 1e-12 * scale
+
+
+def reference_numerical_range(A, M):
+    """The boundary without the mirror: one eigh per direction, or per pair
+    of directions m and m + M/2 for even M, as numerical_range_boundary
+    computed it for every matrix before real ones were mirrored."""
+    half = M // 2 if M % 2 == 0 else M
+    points = np.empty(M, dtype=complex)
+    for m in range(half):
+        rotated = np.exp(-2j * np.pi * m / M) * A
+        _, vecs = np.linalg.eigh(0.5 * (rotated + rotated.conj().T))
+        u = vecs[:, -1]
+        points[m] = np.vdot(u, A @ u)
+        if half < M:
+            u = vecs[:, 0]
+            points[m + half] = np.vdot(u, A @ u)
+    return points
+
+
+_REAL_RANGE_MATRICES = {
+    "shift65": oracle.model_operator_matrix(65).entries,
+    "diag12": np.diag([1.0, 2.0]),
+    "random7": np.random.default_rng(23).normal(size=(7, 7)),
+    "hardy-blaschke64": oracle.composition_matrix(kernels.HARDY, symbols.blaschke(0.5), 64).entries,
+}
+
+
+@pytest.mark.parametrize("M", [3, 4, 5, 180, 181])
+@pytest.mark.parametrize("name", list(_REAL_RANGE_MATRICES))
+def test_real_matrix_boundary_is_mirrored(name, M):
+    # W(A) = conj W(A) for a real A: the point of direction -m mod M is the
+    # exact conjugate of the point of direction m.  Where the top eigenvalue
+    # of H_m is simple, the boundary point is unique and both loops find it;
+    # where it is not (diag(1, 2) at theta = 3 pi / 2 for M divisible by 4,
+    # an edge of W(A) facing that direction), each returns a point of that
+    # edge, and both attain the support value lambda_max(H_m).
+    A = _REAL_RANGE_MATRICES[name]
+    pts = oracle.numerical_range_boundary(A, M)
+    p = pts[:, 0] + 1j * pts[:, 1]
+    assert np.array_equal(p[-np.arange(M) % M], np.conj(p))
+    ref = reference_numerical_range(A, M)
+    scale = np.linalg.norm(A, 2)
+    for m in range(M):
+        rot = np.exp(-2j * np.pi * m / M)
+        vals = np.linalg.eigvalsh(0.5 * (rot * A + (rot * A).conj().T))
+        if vals[-1] - vals[-2] > 1e-3 * scale:
+            assert abs(p[m] - ref[m]) <= 1e-13 * scale, m
+        else:
+            assert abs((rot * p[m]).real - vals[-1]) <= 1e-13 * scale, m
+
+
+@pytest.mark.parametrize("M, real_calls, complex_calls", [
+    (3, 2, 3), (4, 2, 2), (5, 3, 5), (180, 46, 90), (181, 91, 181),
+])
+def test_boundary_eigh_calls(monkeypatch, M, real_calls, complex_calls):
+    # A real A takes M // 4 + 1 eighs for even M and (M + 1) // 2 for odd M;
+    # a complex A keeps one per direction pair (even M) or direction (odd M),
+    # and its points are those of the unmirrored loop, bit for bit.
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(h):
+        calls.append(h.shape)
+        return eigh(h)
+
+    rng = np.random.default_rng(29)
+    cplx = rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for A, expected in [*((A, real_calls) for A in _REAL_RANGE_MATRICES.values()),
+                        (cplx, complex_calls)]:
+        calls.clear()
+        pts = oracle.numerical_range_boundary(A, M)
+        assert len(calls) == expected
+    ref = reference_numerical_range(cplx, M)
+    assert pts.tobytes() == np.column_stack([ref.real, ref.imag]).tobytes()
 
 
 @pytest.mark.parametrize("bad, reason", [
@@ -337,11 +434,16 @@ def reference_recurrence_matrix(space, symbol, N):
     return cols
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 5, 64, 129, 513, 1024])
+_B = oracle._BLOCK_DIAGONALS
+
+
+@pytest.mark.parametrize("N", sorted({1, 2, 3, 5, 64, 129, 513, 1024,
+                                      _B - 1, _B, _B + 1, 2 * _B, 2 * _B + 1, 2 * _B + 2}))
 @pytest.mark.parametrize("symb", _REFERENCE_SYMBOLS, ids=lambda s: s.label)
 def test_build_is_byte_identical_to_a_whole_matrix_recurrence(symb, N):
-    # The build's rolling diagonals, strided writes and row-banded reweighting
-    # and flush must not change a bit; 513 and 1024 span several row bands.
+    # The build's ring of diagonals, blocked stores and per-piece reweighting
+    # and flush must not change a bit.  The cap B <= (N - 1) / 2 binds for
+    # N <= 2B, and 513 and 1024 take several row pieces per block.
     for space in (kernels.HARDY, kernels.BERGMAN):
         got = oracle.composition_matrix(space, symb, N).entries
         assert got.tobytes() == reference_recurrence_matrix(space, symb, N).tobytes()
@@ -350,13 +452,14 @@ def test_build_is_byte_identical_to_a_whole_matrix_recurrence(symb, N):
 def test_composition_matrix_memory_is_one_matrix():
     # The N = 1024 matrix takes 16 MiB; the whole strided Toeplitz copy, the
     # N x m product and the Bergman reweighting's second matrix took 40 MiB.
+    # The ring of 34 diagonals and one row piece measure 16.89 MiB in all.
     tracemalloc.start()
     try:
         oracle.composition_matrix(kernels.BERGMAN, symbols.automorphism(1.25, 0.75), 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    assert peak < 17 * 2**20
 
 
 # Each call returns the size it built, so a numpy integer can be checked too.
