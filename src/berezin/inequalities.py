@@ -597,14 +597,6 @@ def _draw_stack(rngs, map_kind: str, checks, d: int) -> dict:
     return {key: np.array(values) for key, values in draws.items()}
 
 
-def _map_for_stack(map_kind: str, isometry_draws, d: int) -> PositiveMap:
-    if map_kind == "identity":
-        return PositiveMap.identity()
-    if map_kind == "pinching":
-        return PositiveMap.pinching()
-    return PositiveMap.compression(random_isometry(isometry_draws, d, _map_dim(map_kind, d)))
-
-
 def _psd_stack(draws: np.ndarray, diag_only: bool) -> np.ndarray:
     A = random_psd(draws, draws.shape[-1])
     return _diagonal_part(A) if diag_only else A
@@ -718,7 +710,10 @@ def run_trials(
         dimension d; return how many of them meet condition (18)."""
         ix = np.array([t for t, _ in batch])
         g = _draw_stack([rng for _, rng in batch], map_kind, checks, d)
-        phi = _map_for_stack(map_kind, g.get("isometry"), d)
+        V = None
+        if map_kind == "compression":
+            V = random_isometry(g["isometry"], d, _map_dim(map_kind, d))
+        phi = PositiveMap(map_kind, V)
         A = _as_hermitian(_psd_stack(g["A"], diag_only))
         fA = functional_calculus(A, f) if uses_fA else None
         mu = g["mu"]

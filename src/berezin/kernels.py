@@ -115,10 +115,7 @@ def normalized_kernel_matrix(space: SpaceSpec, ws, truncation: int) -> np.ndarra
     powers[0] = 1.0
     powers[1:] = np.conj(ws)
     np.cumprod(powers, axis=0, out=powers)
-    # Hardy's and model(n)'s weights are ones: a product with them is exact,
-    # so skipping it keeps the bits and saves a pass over the N x P block
-    if np.any(wt != 1.0):
-        powers *= wt[:, None]
+    powers *= wt[:, None]
     powers *= np.sqrt(c2)
     return powers
 

@@ -395,18 +395,9 @@ def model_berezin_range(n: int, grid: PolarGrid) -> RangeSample:
     """Sample <M k̂_lambda, k̂_lambda> for the model shift over a polar grid.
 
     The sampled sup modulus approaches (n-1)/n from below as r_max -> 1.
-    A grid with ``PolarGrid.regular``'s angles goes to the polar route with
-    its radii: ``berezin_grid`` would build, check and recognise the same
-    mesh first, and would then read back those radii bit for bit.  Any other
-    grid goes through ``berezin_grid``.
     """
     op = model_operator_matrix(n)
-    P = grid.theta_values.size
-    if np.array_equal(grid.theta_values, np.linspace(0.0, TWO_PI, P, endpoint=False)):
-        values = _polar_route(op, op.space, grid.r_values, P)
-    else:
-        values = berezin_grid(op, op.space, grid.mesh())
-    return RangeSample(op.space, None, grid, values)
+    return RangeSample(op.space, None, grid, berezin_grid(op, op.space, grid.mesh()))
 
 
 def numerical_range_boundary(op, directions: int = 180) -> np.ndarray:

@@ -103,26 +103,17 @@ def test_model_range_matches_closed_form():
         assert sample.symbol is None
 
 
-def test_model_range_skips_the_mesh_only_on_regular_angles(monkeypatch):
-    # A grid with PolarGrid.regular's angles goes to the polar route with its
-    # radii, bit for bit what berezin_grid gives on its mesh; other angles go
-    # through berezin_grid.
+def test_model_range_is_berezin_grid_on_the_mesh():
+    # regular angles, turned ones and radii uniform in r: the values are
+    # berezin_grid's on the grid's mesh, bit for bit, whatever route it takes
     regular = cf.PolarGrid.regular(40, 24, 0.99)
     turned = cf.PolarGrid(regular.r_values, regular.theta_values + 0.1)
-    grids = (regular, turned)
-    expected = [oracle.berezin_grid(op, op.space, grid.mesh()).tobytes()
-                for op in map(oracle.model_operator_matrix, (1, 3, 8)) for grid in grids]
-    meshes = []
-    grid_fn = oracle.berezin_grid
-
-    def spy(op, space, ws):
-        meshes.append(np.shape(ws))
-        return grid_fn(op, space, ws)
-
-    monkeypatch.setattr(oracle, "berezin_grid", spy)
-    got = [oracle.model_berezin_range(n, grid).values.tobytes() for n in (1, 3, 8) for grid in grids]
-    assert got == expected
-    assert meshes == [turned.mesh().shape] * 3
+    uniform_r = cf.PolarGrid(np.linspace(0.0, 0.99, 40), regular.theta_values)
+    for n in (1, 3, 8):
+        op = oracle.model_operator_matrix(n)
+        for grid in (regular, turned, uniform_r):
+            got = oracle.model_berezin_range(n, grid).values
+            assert got.tobytes() == oracle.berezin_grid(op, op.space, grid.mesh()).tobytes()
 
 
 def test_model_berezin_number_approaches_limit():
