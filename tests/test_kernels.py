@@ -186,3 +186,26 @@ def test_kernel_matrix_keeps_its_per_space_arithmetic(space):
             np.testing.assert_allclose(got, before, rtol=1e-15, atol=0)
         else:
             assert got.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("space", [kernels.HARDY, kernels.model_space(1),
+                                   kernels.model_space(6)], ids=lambda s: s.label)
+def test_unit_weights_leave_the_kernel_columns_byte_for_byte(space):
+    # Hardy's and model(n)'s weights are ones; x * 1.0 is x bit for bit, so
+    # normalized_kernel_matrix's columns equal those with the weight product
+    # left out, signed zeros included
+    rng = np.random.default_rng(9)
+    ws = np.concatenate([
+        [0.0, -0.0, 1e-200, -1e-200j, 0.3 - 0.4j, 1 - 2.0**-52],
+        rng.uniform(0, 0.999, 100) * np.exp(2j * np.pi * rng.uniform(size=100)),
+    ])
+    for N in ([space.n] if space.kind == "model" else [1, 2, 300]):
+        wt, c2 = kernels.kernel_scales(space, np.abs(ws) ** 2, N)
+        assert np.all(wt == 1.0)
+        powers = np.empty((N, ws.size), dtype=complex)
+        powers[0] = 1.0
+        powers[1:] = np.conj(ws)
+        np.cumprod(powers, axis=0, out=powers)
+        powers *= np.sqrt(c2)
+        got = kernels.normalized_kernel_matrix(space, ws, N)
+        assert got.tobytes() == powers.tobytes()
